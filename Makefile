@@ -4,11 +4,11 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all ci lint test test-shuffle conformance flightrec-conformance arena-conformance smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
+.PHONY: all ci lint test test-shuffle conformance flightrec-conformance arena-conformance player-kernel smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
 
 all: lint test
 
-ci: lint build buildrelease build386 test test-shuffle conformance flightrec-conformance arena-conformance smoke session-race cover fuzz loadgen-gate bench-gate vuln
+ci: lint build buildrelease build386 test test-shuffle conformance flightrec-conformance arena-conformance player-kernel smoke session-race cover fuzz loadgen-gate bench-gate vuln
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,14 @@ arena-conformance:
 	$(GO) test -race ./internal/arena
 	$(GO) test -race -run 'TestSodaArenaConformance' ./internal/abrtest
 	$(GO) test -race -run 'TestEvictRecreateRecycledSlot' ./internal/httpseg
+
+# player-kernel re-runs the player step kernel shared by sim.Run, the fleet
+# and loadgen under the race detector on its own: the kernel's unit tests,
+# the sim.Run golden digest, the fleet-vs-sim.Run differential test, the
+# fleet's wheel/arena plumbing, and loadgen's virtual players.
+player-kernel:
+	$(GO) test -race -run 'TestPlayer|TestTracePool|TestRunGoldenDigest|TestFleet' ./internal/sim
+	$(GO) test -race ./internal/loadgen
 
 # smoke boots the soda-server introspection mux against a test manifest,
 # drives /decide sessions, and validates that /metrics serves parseable

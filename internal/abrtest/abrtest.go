@@ -438,9 +438,9 @@ func concurrentInstances(t *testing.T, factory Factory) {
 	}
 }
 
-// hostileTraces are the adversarial sessions the harness contracts replay: a
+// HostileTraces are the adversarial sessions the harness contracts replay: a
 // collapse to near-zero, a sawtooth, and a spike train.
-func hostileTraces() map[string]*trace.Trace {
+func HostileTraces() map[string]*trace.Trace {
 	return map[string]*trace.Trace{
 		"collapse": trace.New([]trace.Sample{{Duration: units.Seconds(30), Mbps: units.Mbps(40)}, {Duration: units.Seconds(90), Mbps: units.Mbps(0.3)}}),
 		"sawtooth": trace.New([]trace.Sample{
@@ -460,7 +460,7 @@ func hostileTraces() map[string]*trace.Trace {
 // must complete without error.
 func survivesHostile(t *testing.T, factory Factory) {
 	t.Helper()
-	for tname, tr := range hostileTraces() {
+	for tname, tr := range HostileTraces() {
 		res, err := sim.Run(tr, sim.Config{
 			Ladder:         video.Mobile(),
 			BufferCap:      units.Seconds(20),
@@ -485,7 +485,7 @@ func survivesHostile(t *testing.T, factory Factory) {
 // (one event per Decide, one session, segment and stall totals matching).
 func TelemetryConformance(t *testing.T, name string, factory Factory) {
 	t.Helper()
-	for tname, tr := range hostileTraces() {
+	for tname, tr := range HostileTraces() {
 		tname, tr := tname, tr
 		t.Run(name+"/telemetry-bit-identical/"+tname, func(t *testing.T) {
 			cfg := sim.Config{
@@ -575,7 +575,7 @@ func FlightRecConformance(t *testing.T, name string, factory Factory) {
 	// fire every detector: a short window, few switches, a high horizon.
 	twitchy := WatchdogTestConfig()
 
-	for tname, tr := range hostileTraces() {
+	for tname, tr := range HostileTraces() {
 		tname, tr := tname, tr
 		t.Run(name+"/flightrec-bit-identical/"+tname, func(t *testing.T) {
 			cfg := sim.Config{
@@ -632,7 +632,7 @@ func FlightRecConformance(t *testing.T, name string, factory Factory) {
 		shared := flightrec.NewWatchdog(nil, twitchy)
 		var wg sync.WaitGroup
 		for li, nl := range video.NamedLadders() {
-			for tname, tr := range hostileTraces() {
+			for tname, tr := range HostileTraces() {
 				li, nl, tr := li, nl, tr
 				cfg := sim.Config{
 					Ladder:         nl.Ladder,

@@ -83,18 +83,16 @@ const (
 )
 
 // State is one session's player dynamics — the per-decision mutable block,
-// kept to 48 bytes so a decision touches one cache line of dynamics. The
+// kept to 40 bytes so a decision touches at most two cache lines of it. The
 // field meanings are harness conventions, not arena policy: the fleet
-// simulator uses all of them, the load generator its buffer/cursor subset,
-// and the control plane the rung/segment pair.
+// simulator uses all of them, the load generator all but the time-wheel
+// pair, and the control plane the rung/segment pair. The player step kernel
+// (sim.Player) owns Buffer, Stall, PrevRung and Segment.
 type State struct {
 	// Buffer and Stall are the simulated playback buffer and the cumulative
 	// rebuffer time charged to this session.
 	Buffer units.Seconds
 	Stall  units.Seconds
-	// Deadline is the stream-clock time of the session's next scheduled
-	// event (fleet time-wheel).
-	Deadline units.Seconds
 	// PrevRung and Segment are the controller-visible session history.
 	PrevRung int32
 	Segment  int32

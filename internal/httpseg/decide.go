@@ -558,13 +558,7 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	ev.MemoHits, ev.SharedHits = uint32(d.MemoHits), uint32(d.SharedHits)
 	ev.TableHits = uint32(d.TableHits)
 	s.col.RecordDecision(ev)
-	s.col.RecordSolverStats(telemetry.SolverStats{
-		Solves: d.Solves, Nodes: d.Nodes,
-		MemoLookups: d.MemoLookups, MemoHits: d.MemoHits,
-		SharedLookups: d.SharedLookups, SharedHits: d.SharedHits,
-		TableLookups: d.TableLookups, TableHits: d.TableHits,
-		TableFallbacks: d.TableFallbacks,
-	})
+	s.col.RecordSolverStats(&d)
 	return res
 }
 

@@ -16,13 +16,14 @@
 //
 // Each virtual session walks a bandwidth trace drawn from an
 // internal/tracegen profile (the paper-calibrated throughput processes) and
-// runs a small player model: decisions advance a simulated buffer, which
-// feeds back into the next request. Sessions share a bounded pool of traces
-// round-robin so 50k sessions do not need 50k trace syntheses, and their
-// player state lives in an internal/arena slab — the same struct-of-arrays
-// layout soda-server and the fleet simulator use — rather than one heap
-// object per session. Both loops run on fixed worker pools: session count
-// scales the arena, not the goroutine count.
+// runs the fleet simulator's player: every decision goes through the shared
+// player step kernel (sim.Player.Step), whose buffer feeds back into the
+// next request and whose stalls the report totals. Sessions share a bounded
+// sim.TracePool round-robin so 50k sessions do not need 50k trace syntheses,
+// and their player state lives in an internal/arena slab — the same
+// struct-of-arrays layout soda-server and the fleet simulator use — rather
+// than one heap object per session. Both loops run on fixed worker pools:
+// session count scales the arena, not the goroutine count.
 //
 // Targets are pluggable: InProc drives a DecideService directly (no HTTP,
 // the configuration the allocation and p99 gates use), HTTPTarget drives a
@@ -37,11 +38,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/abr"
 	"repro/internal/arena"
 	"repro/internal/flightrec"
 	"repro/internal/httpseg"
 	"repro/internal/sessiontable"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tracegen"
 	"repro/internal/units"
@@ -117,18 +118,6 @@ func (c Config) normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = 16
 	}
-	if c.Profile.Name == "" {
-		c.Profile = tracegen.Puffer()
-	}
-	if c.SessionLength <= 0 {
-		c.SessionLength = units.Seconds(120)
-	}
-	if c.TracePool <= 0 || c.TracePool > c.Sessions {
-		c.TracePool = c.Sessions
-	}
-	if c.TracePool > 256 {
-		c.TracePool = 256
-	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = units.Seconds(20)
 	}
@@ -158,12 +147,12 @@ var latencyBuckets = []float64{
 }
 
 // runner is the per-run state shared by the worker pool. Virtual-session
-// player state lives in the arena (arena.State.Buffer/Trace/Cursor); the
-// runner keeps only the parallel per-session slices the arena does not own:
-// the wire key and the lock serialising a session's in-flight decide with
-// its state update. In the closed loop each worker owns a fixed residue
-// class of session indices, so those locks are uncontended there; the open
-// loop dispatches arrivals to arbitrary workers and relies on them.
+// player state lives in the arena (the arena.State the player kernel
+// steps); the runner keeps only the parallel per-session slices the arena
+// does not own: the wire key and the lock serialising a session's in-flight
+// decide with its state update. In the closed loop each worker owns a fixed
+// residue class of session indices, so those locks are uncontended there;
+// the open loop dispatches arrivals to arbitrary workers and relies on them.
 type runner struct {
 	cfg     Config
 	target  Target
@@ -172,7 +161,8 @@ type runner struct {
 	keys    []string
 	locks   []sync.Mutex
 	watches []*flightrec.SessionWatch
-	pool    [][]units.Mbps
+	pool    sim.TracePool
+	player  sim.Player
 	latency *telemetry.Histogram
 	epoch   time.Time
 
@@ -238,6 +228,9 @@ func Run(cfg Config, target Target) (Report, error) {
 		rep.ServerEvictions = stats.EvictedIdle
 		rep.ServerSessions = stats.Active
 	}
+	for _, st := range r.states {
+		rep.StallSeconds += st.Stall
+	}
 	if cfg.Watchdog != nil {
 		rep.QoEIncidents = cfg.Watchdog.Total()
 		rep.QoEIncidentsPer1k = flightrec.PerThousandSessions(rep.QoEIncidents, cfg.Sessions)
@@ -251,20 +244,12 @@ func Run(cfg Config, target Target) (Report, error) {
 // worker w walks sessions i ≡ w (mod workers), so each worker stays inside
 // one shard's slabs.
 func (r *runner) buildSessions() error {
-	pool := make([][]units.Mbps, r.cfg.TracePool)
-	for i := range pool {
-		tr, err := r.cfg.Profile.Session(r.cfg.SessionLength, r.cfg.Seed, i)
-		if err != nil {
-			return fmt.Errorf("loadgen: synthesizing trace %d: %w", i, err)
-		}
-		samples := tr.Samples()
-		mbps := make([]units.Mbps, len(samples))
-		for j, s := range samples {
-			mbps[j] = s.Mbps
-		}
-		pool[i] = mbps
+	pool, err := sim.NewTracePool(r.cfg.Profile, r.cfg.SessionLength, r.cfg.Seed, r.cfg.TracePool, r.cfg.Sessions)
+	if err != nil {
+		return fmt.Errorf("loadgen: %w", err)
 	}
 	r.pool = pool
+	r.player = sim.Player{Segment: r.cfg.SegmentSeconds, BufferCap: r.cfg.BufferCap, Startup: 1}
 
 	shards := r.cfg.Workers
 	if shards > r.cfg.Sessions {
@@ -284,9 +269,7 @@ func (r *runner) buildSessions() error {
 			return fmt.Errorf("loadgen: arena shard %d exhausted at session %d", i%shards, i)
 		}
 		st, _ := r.arena.State(h)
-		// Stagger cursors so pool-sharing sessions do not move in lockstep
-		// through identical throughput samples.
-		*st = arena.State{Trace: int32(i % len(pool)), Cursor: int32(i / len(pool)), PrevRung: int32(abr.NoRung)}
+		pool.Seat(st, i)
 		r.states[i] = st
 		r.keys[i] = fmt.Sprintf("lg-%d", i)
 		if r.cfg.Watchdog != nil {
@@ -310,9 +293,7 @@ func (r *runner) step(i int, start time.Time) {
 	defer r.locks[i].Unlock()
 
 	st := r.states[i]
-	samples := r.pool[st.Trace]
-	throughput := samples[int(st.Cursor)%len(samples)]
-	st.Cursor++
+	throughput := r.pool.Next(st)
 	req := httpseg.DecideRequest{
 		Session:    r.keys[i],
 		Buffer:     st.Buffer,
@@ -330,10 +311,7 @@ func (r *runner) step(i int, start time.Time) {
 		r.ok.Add(1)
 		r.latency.Observe(time.Since(start).Seconds())
 		prev := st.PrevRung
-		r.advancePlayer(st, throughput, res)
-		if res.Rung >= 0 {
-			st.PrevRung = int32(res.Rung)
-		}
+		r.player.Step(st, res.Rung, units.Mbps(res.BitrateMbps), units.Seconds(res.WaitSeconds), throughput)
 		if r.watches != nil {
 			// Observe with the client-side view: the buffer reported in the
 			// request and the rung the server answered with.
@@ -350,32 +328,6 @@ func (r *runner) step(i int, start time.Time) {
 	case httpseg.StatusRejectedDraining:
 		r.rejDrain.Add(1)
 	}
-}
-
-// advancePlayer applies one decision to the session's simulated buffer: a
-// download consumes link time and deposits a segment; a wait decision drains
-// the buffer for the advised time. All arithmetic is local float64 — the
-// unit types come back on at the request boundary.
-func (r *runner) advancePlayer(st *arena.State, throughput units.Mbps, res httpseg.DecideResult) {
-	buffer := float64(st.Buffer)
-	segment := float64(r.cfg.SegmentSeconds)
-	if res.Rung >= 0 {
-		thr := float64(throughput)
-		if thr < 0.1 {
-			thr = 0.1 // a stalled link still finishes the download eventually
-		}
-		downloadTime := res.BitrateMbps * segment / thr
-		buffer += segment - downloadTime
-	} else {
-		buffer -= res.WaitSeconds
-	}
-	if buffer < 0 {
-		buffer = 0
-	}
-	if limit := float64(r.cfg.BufferCap); buffer > limit {
-		buffer = limit
-	}
-	st.Buffer = units.Seconds(buffer)
 }
 
 // runClosed runs the closed loop on a fixed worker pool: worker w owns the
@@ -481,6 +433,9 @@ type Report struct {
 	P99Ms            float64 `json:"p99_ms"`
 	P999Ms           float64 `json:"p999_ms"`
 	RejectedPct      float64 `json:"rejected_pct"`
+	// StallSeconds is the virtual players' cumulative rebuffer time, charged
+	// by the player step kernel exactly as sim.FleetReport.StallSeconds is.
+	StallSeconds units.Seconds `json:"stall_seconds"`
 	// ServerEvictions and ServerSessions are filled when the target exposes
 	// sessiontable stats (the in-process configuration).
 	ServerEvictions uint64 `json:"server_evictions"`

@@ -2,15 +2,20 @@
 // worker pool, using a hierarchical time-wheel over segment-completion
 // events instead of one goroutine (or one full Run loop) per session.
 //
-// The single-session simulator in sim.go is the reference player; the fleet
-// trades its trace-integration fidelity for the loadgen player model (a
-// download occupies bitrate·L/throughput seconds of link time against the
-// session's current trace sample) so that one host can hold the entire
-// cohort's state in struct-of-arrays arenas and touch only the sessions
-// whose next event is due. Controllers are the real thing — every session
-// runs its own core.Controller out of the arena slab, sharing the fleet
-// decision tables and solve cache — so fleet cohorts exercise exactly the
-// production decide path.
+// Every fleet session steps through the same player kernel as Run (step.go):
+// the same wait clamp, the same drain-then-deposit stall accounting with
+// startup kept apart, the same idle-until-the-next-segment-fits cap. Two
+// things are still modelled differently. The network is per sample: a
+// download occupies bitrate·L/ω seconds against the session's current
+// throughput sample, drawn from a shared TracePool, rather than integrating
+// a piecewise trace with latency, live edge and abandonment. And the
+// prediction is an oracle: the controller is told that same sample as its
+// forecast. Both keep one host able to hold the whole cohort's state in
+// struct-of-arrays arenas and touch only the sessions whose next event is
+// due. Controllers are the real thing — every session runs its own
+// core.Controller out of the arena slab, sharing the fleet decision tables
+// and solve cache — so fleet cohorts exercise exactly the production decide
+// path.
 package sim
 
 import (
@@ -218,7 +223,8 @@ type fleetWorker struct {
 type Fleet struct {
 	cfg     FleetConfig
 	arena   *arena.Arena
-	pool    [][]units.Mbps
+	pool    TracePool
+	player  Player
 	workers []*fleetWorker
 	ticks   uint32 // absolute cohort clock, in wheel ticks
 	barrier sync.WaitGroup
@@ -262,18 +268,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("sim: fleet buffer cap %v below one segment (%v s)",
 			cfg.BufferCap, cfg.Ladder.SegmentSeconds)
 	}
-	if cfg.Profile.Name == "" {
-		cfg.Profile = tracegen.Puffer()
-	}
-	if cfg.SessionLength <= 0 {
-		cfg.SessionLength = units.Seconds(120)
-	}
-	if cfg.TracePool <= 0 || cfg.TracePool > cfg.Sessions {
-		cfg.TracePool = cfg.Sessions
-	}
-	if cfg.TracePool > 256 {
-		cfg.TracePool = 256
-	}
 	if cfg.TickSeconds <= 0 {
 		cfg.TickSeconds = units.Seconds(0.01)
 	}
@@ -285,19 +279,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("sim: fleet controller config: %w", err)
 	}
 
-	f := &Fleet{cfg: cfg}
-	f.pool = make([][]units.Mbps, cfg.TracePool)
-	for i := range f.pool {
-		tr, err := cfg.Profile.Session(cfg.SessionLength, cfg.Seed, i)
-		if err != nil {
-			return nil, fmt.Errorf("sim: synthesizing fleet trace %d: %w", i, err)
-		}
-		samples := tr.Samples()
-		mbps := make([]units.Mbps, len(samples))
-		for j, s := range samples {
-			mbps[j] = s.Mbps
-		}
-		f.pool[i] = mbps
+	pool, err := NewTracePool(cfg.Profile, cfg.SessionLength, cfg.Seed, cfg.TracePool, cfg.Sessions)
+	if err != nil {
+		return nil, fmt.Errorf("sim: fleet: %w", err)
+	}
+	f := &Fleet{
+		cfg:    cfg,
+		pool:   pool,
+		player: Player{Segment: cfg.Ladder.SegmentSeconds, BufferCap: cfg.BufferCap, Startup: 1},
 	}
 
 	perShard := (cfg.Sessions + cfg.Workers - 1) / cfg.Workers
@@ -347,14 +336,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			// Decide's only lazy allocations, and paying them at setup keeps
 			// the steady event path allocation-free from the first fire.
 			ctrl.Prewarm(cfg.BufferCap)
-			*st = arena.State{
-				PrevRung: int32(abr.NoRung),
-				Trace:    int32(global % len(f.pool)),
-				// Stagger cursors so pool-sharing sessions do not walk
-				// identical sample sequences in lockstep.
-				Cursor: int32(global / len(f.pool)),
-				Next:   noSession,
-			}
+			f.pool.Seat(st, global)
 			w.ctrls[local] = ctrl
 			w.states[local] = st
 			if cfg.Telemetry != nil {
@@ -400,17 +382,15 @@ func (w *fleetWorker) run() {
 	}
 }
 
-// fire handles one session's due event: charge playback since the decision
-// is instantaneous at event time, pull the session's next throughput sample,
-// run the real controller, apply the loadgen player model, and schedule the
-// completion of whatever the decision started.
+// fire handles one session's due event: pull the session's next throughput
+// sample, run the real controller on it (the decision is instantaneous at
+// event time), apply the decision through the player step kernel, and
+// schedule the session's next event when the step's stream time is up.
 //
 //soda:noalloc
 func (w *fleetWorker) fire(local uint32, tick uint32) {
 	st := w.states[local]
-	samples := w.f.pool[st.Trace]
-	omega := samples[int(st.Cursor)%len(samples)]
-	st.Cursor++
+	omega := w.f.pool.Next(st)
 
 	w.pred.omega = omega
 	w.ctx.Now = w.f.cfg.TickSeconds.Scale(float64(tick))
@@ -422,43 +402,17 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 	decision := w.ctrls[local].Decide(&w.ctx)
 	w.decisions++
 
-	segment := w.f.cfg.Ladder.SegmentSeconds
-	var dt units.Seconds
-	var rung int
-	if decision.Rung == abr.NoRung {
-		w.waits++
-		wait := decision.WaitSeconds
-		if wait <= 0 || wait > segment {
-			wait = segment.Scale(0.5)
-		}
-		if wait > st.Buffer {
-			wait = st.Buffer
-		}
-		st.Buffer -= wait
-		dt = wait
-		rung = abr.NoRung
-	} else {
+	rung := abr.NoRung
+	var bitrate units.Mbps
+	if decision.Rung != abr.NoRung {
 		rung = w.f.cfg.Ladder.ClampIndex(decision.Rung)
-		thr := float64(omega)
-		if thr < 0.1 {
-			thr = 0.1 // a stalled link still finishes the download eventually
-		}
-		dl := units.Seconds(float64(w.f.cfg.Ladder.Mbps(rung)) * float64(segment) / thr)
-		buffer := st.Buffer + segment - dl
-		if buffer < 0 {
-			w.stall -= buffer
-			st.Stall -= buffer
-			buffer = 0
-		}
-		if buffer > w.f.cfg.BufferCap {
-			buffer = w.f.cfg.BufferCap
-		}
-		st.Buffer = buffer
-		st.PrevRung = int32(rung)
-		st.Segment++
+		bitrate = w.f.cfg.Ladder.Mbps(rung)
 		w.segments++
-		dt = dl
+	} else {
+		w.waits++
 	}
+	dt, stall := w.f.player.Step(st, rung, bitrate, decision.WaitSeconds, omega)
+	w.stall += stall
 
 	if w.recs != nil {
 		if rec := w.recs[local]; rec != nil {
@@ -472,7 +426,7 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 			if rung == abr.NoRung {
 				ev.WaitSeconds = dt
 			} else {
-				ev.Bitrate = w.f.cfg.Ladder.Mbps(rung)
+				ev.Bitrate = bitrate
 			}
 			rec.Commit()
 		}
@@ -560,16 +514,8 @@ func (f *Fleet) Close() {
 					continue
 				}
 				st := w.states[local]
-				var total telemetry.SolverStats
 				s := w.ctrls[local].SolveStats()
-				total = telemetry.SolverStats{
-					Solves: s.Solves, Nodes: s.Nodes,
-					MemoLookups: s.MemoLookups, MemoHits: s.MemoHits,
-					SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
-					TableLookups: s.TableLookups, TableHits: s.TableHits,
-					TableFallbacks: s.TableFallbacks,
-				}
-				rec.Finish(total, int(st.Segment), st.Stall)
+				rec.Finish(&s, int(st.Segment), st.Stall)
 			}
 		}
 	}

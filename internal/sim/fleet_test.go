@@ -123,9 +123,10 @@ func TestFleetDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetMatchesSingleSessionDecisions cross-checks the fleet player
-// against a hand-rolled serial replay of the same model: one session, one
-// trace, identical decision inputs step by step.
+// TestFleetMatchesSingleSessionDecisions checks the fleet's wheel and arena
+// plumbing against a serial loop: one session, one trace, the same
+// controller and the same player step kernel, decision by decision, must
+// land on the same player state.
 func TestFleetMatchesSingleSessionDecisions(t *testing.T) {
 	ladder := video.Mobile()
 	f, err := NewFleet(FleetConfig{
@@ -139,69 +140,50 @@ func TestFleetMatchesSingleSessionDecisions(t *testing.T) {
 	}
 	defer f.Close()
 	f.Advance(units.Seconds(45))
-	_, st, _ := f.Session(0)
+	_, got, _ := f.Session(0)
 	rep := f.Report()
-	if rep.Decisions == 0 || st.Segment == 0 {
+	if rep.Decisions == 0 || got.Segment == 0 {
 		t.Fatalf("no progress: %+v", rep)
 	}
 
-	// Serial replay with the same trace pool, controller config and player
-	// arithmetic must land on the same (segment, prevRung, buffer) state.
-	tr, err := tracegen.Puffer().Session(units.Seconds(120), 11, 0)
+	pool, err := NewTracePool(tracegen.Puffer(), units.Seconds(120), 11, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := tr.Samples()
-	cfg := fleetControllerConfig()
-	ctrl := core.New(cfg, ladder)
+	ctrl := core.New(fleetControllerConfig(), ladder)
 	pred := &constPredictor{}
-	var (
-		buffer  units.Seconds
-		prev    = int32(-1)
-		segment int32
-		cursor  int
-	)
-	segDur := ladder.SegmentSeconds
-	actx := newFleetContext(ladder, units.Seconds(20), pred)
-	for n := uint64(0); n < rep.Decisions; n++ {
-		omega := samples[cursor%len(samples)].Mbps
-		cursor++
-		pred.omega = omega
-		actx.Buffer = buffer
-		actx.PrevRung = int(prev)
-		actx.SegmentIndex = int(segment)
-		actx.LastThroughput = omega
-		d := ctrl.Decide(actx)
-		if d.Rung < 0 {
-			wait := d.WaitSeconds
-			if wait <= 0 || wait > segDur {
-				wait = segDur.Scale(0.5)
-			}
-			if wait > buffer {
-				wait = buffer
-			}
-			buffer -= wait
-			continue
-		}
-		rung := ladder.ClampIndex(d.Rung)
-		thr := float64(omega)
-		if thr < 0.1 {
-			thr = 0.1
-		}
-		dl := units.Seconds(float64(ladder.Mbps(rung)) * float64(segDur) / thr)
-		buffer += segDur - dl
-		if buffer < 0 {
-			buffer = 0
-		}
-		if buffer > 20 {
-			buffer = 20
-		}
-		prev = int32(rung)
-		segment++
+	ctx := &abr.Context{
+		BufferCap:     units.Seconds(20),
+		Ladder:        ladder,
+		TotalSegments: 1 << 20,
+		Predict:       pred.predict,
 	}
-	if segment != st.Segment || prev != st.PrevRung {
-		t.Fatalf("serial replay (segment=%d prev=%d) != fleet (segment=%d prev=%d)",
-			segment, prev, st.Segment, st.PrevRung)
+	player := Player{Segment: ladder.SegmentSeconds, BufferCap: units.Seconds(20), Startup: 1}
+	var want arena.State
+	pool.Seat(&want, 0)
+	var stall units.Seconds
+	for n := uint64(0); n < rep.Decisions; n++ {
+		omega := pool.Next(&want)
+		pred.omega = omega
+		ctx.Buffer = want.Buffer
+		ctx.PrevRung = int(want.PrevRung)
+		ctx.SegmentIndex = int(want.Segment)
+		ctx.LastThroughput = omega
+		d := ctrl.Decide(ctx)
+		var bitrate units.Mbps
+		if d.Rung != abr.NoRung {
+			d.Rung = ladder.ClampIndex(d.Rung)
+			bitrate = ladder.Mbps(d.Rung)
+		}
+		_, s := player.Step(&want, d.Rung, bitrate, d.WaitSeconds, omega)
+		stall += s
+	}
+	want.DueTick, want.Next = got.DueTick, got.Next // the wheel's own fields
+	if want != *got {
+		t.Fatalf("serial replay %+v != fleet %+v", want, *got)
+	}
+	if rep.StallSeconds != stall {
+		t.Fatalf("serial stall %v != fleet report %v", stall, rep.StallSeconds)
 	}
 }
 
@@ -270,17 +252,6 @@ func TestWheelLongHorizons(t *testing.T) {
 	w.advance(states, w.now+2, func(local, tick uint32) { clamped = tick })
 	if clamped == 0 {
 		t.Fatal("past-due event never fired")
-	}
-}
-
-// newFleetContext mirrors the worker's reusable context setup for the serial
-// replay test.
-func newFleetContext(ladder video.Ladder, bufferCap units.Seconds, pred *constPredictor) *abr.Context {
-	return &abr.Context{
-		BufferCap:     bufferCap,
-		Ladder:        ladder,
-		TotalSegments: 1 << 20,
-		Predict:       pred.predict,
 	}
 }
 

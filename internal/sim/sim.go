@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/abr"
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/predictor"
@@ -158,10 +159,6 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	if utility == nil {
 		utility = ladder.LogUtility
 	}
-	startup := cfg.StartupSegments
-	if startup < 1 {
-		startup = 1
-	}
 	weights := cfg.Weights
 	if weights == (qoe.Weights{}) {
 		weights = qoe.DefaultWeights()
@@ -183,72 +180,55 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	// recorder, so a nil collector costs nothing and a live one never
 	// changes the decision sequence.
 	rec := cfg.Telemetry.StartSession(cfg.TelemetrySession)
-	// statsCore is the devirtualised fast path (core.Controller's SolveWork
-	// returns the five gated counters in registers); statser covers any
-	// other controller exposing SolveStats. The prev* counters roll forward
-	// so each decision costs one snapshot, not two.
+	// statsCore is the devirtualised fast path: core.Controller's SolveWork
+	// returns the five gated counters in registers. The prev* counters roll
+	// forward so each decision costs one snapshot, not two.
 	var statsCore *core.Controller
-	var statser interface{ SolveStats() core.SolveStats }
 	var prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits uint64
 	if rec != nil {
 		if statsCore, _ = cfg.Controller.(*core.Controller); statsCore != nil {
 			prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits = statsCore.SolveWork()
-		} else if statser, _ = cfg.Controller.(interface{ SolveStats() core.SolveStats }); statser != nil {
-			s := statser.SolveStats()
-			prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits = s.Solves, s.Nodes, s.MemoHits, s.SharedHits, s.TableHits
 		}
 	}
 
+	// The buffer arithmetic is the shared player step kernel (step.go);
+	// Run adds the trace integration, latency, live edge and abandonment.
+	player := Player{Segment: l, BufferCap: cfg.BufferCap, Startup: int32(max(cfg.StartupSegments, 1))}
+	st := arena.State{PrevRung: int32(abr.NoRung)}
 	var (
 		tally    qoe.SessionTally
 		result   Result
 		now      units.Seconds // stream clock
-		buffer   units.Seconds // video buffered
-		playing  bool
-		prevRung = abr.NoRung
 		lastMbps units.Mbps
 		segStall units.Seconds          // stall charged since the last segment completed
 		watch    flightrec.SessionWatch // per-session QoE detector state
 	)
 	quantile, _ := cfg.Predictor.(predictor.QuantilePredictor)
 
-	// advance moves the stream clock while the player is (possibly) playing,
-	// charging playback, rebuffering or startup as appropriate.
-	advance := func(dt units.Seconds) {
-		if dt <= 0 {
-			return
-		}
+	// book moves the stream clock over one kernel step of dt seconds and
+	// charges its playback, rebuffering or startup.
+	book := func(dt units.Seconds, spent Spent) {
 		now += dt
-		if !playing {
-			tally.AddStartup(dt)
-			return
-		}
-		played := dt
-		if played > buffer {
-			played = buffer
-		}
-		buffer -= played
-		tally.AddPlayback(played)
-		if stall := dt - played; stall > 1e-12 {
-			tally.AddRebuffer(stall)
-			segStall += stall
-		}
+		tally.AddStartup(spent.Startup)
+		tally.AddPlayback(spent.Played)
+		tally.AddRebuffer(spent.Stall)
+		segStall += spent.Stall
 	}
+	advance := func(dt units.Seconds) { book(dt, player.Drain(&st, dt)) }
 
 	maxIters := 20*totalSegments + 1000
 	iters := 0
-	for seg := 0; seg < totalSegments; seg++ {
+	for int(st.Segment) < totalSegments {
+		seg := int(st.Segment)
 		// Enforce the buffer cap before asking for another segment: idle
 		// until there is room for one more segment of video.
-		if over := buffer + l - cfg.BufferCap; over > 1e-9 {
-			advance(over)
-		}
+		advance(player.Idle(st.Buffer))
 
 		ctx := &abr.Context{
 			Now:            now,
-			Buffer:         buffer,
+			Buffer:         st.Buffer,
 			BufferCap:      cfg.BufferCap,
-			PrevRung:       prevRung,
+			PrevRung:       int(st.PrevRung),
 			Ladder:         ladder,
 			SegmentIndex:   seg,
 			TotalSegments:  totalSegments,
@@ -282,22 +262,16 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			// the sub-microsecond decision loop.
 			ev = rec.Start()
 			ev.Segment = int32(seg)
-			ev.PrevRung = int16(prevRung)
-			ev.Buffer = buffer
+			ev.PrevRung = int16(st.PrevRung)
+			ev.Buffer = st.Buffer
 			ev.Throughput = lastMbps
 			ev.Timed = timed
 			ev.AtSeconds = now
 			if timed {
 				ev.SolveSeconds = units.Seconds(time.Since(t0).Seconds())
 			}
-			if statsCore != nil || statser != nil {
-				var solves, nodes, memoHits, sharedHits, tableHits uint64
-				if statsCore != nil {
-					solves, nodes, memoHits, sharedHits, tableHits = statsCore.SolveWork()
-				} else {
-					s := statser.SolveStats()
-					solves, nodes, memoHits, sharedHits, tableHits = s.Solves, s.Nodes, s.MemoHits, s.SharedHits, s.TableHits
-				}
+			if statsCore != nil {
+				solves, nodes, memoHits, sharedHits, tableHits := statsCore.SolveWork()
 				ev.Solves = uint32(solves - prevSolves)
 				ev.Nodes = uint32(nodes - prevNodes)
 				ev.MemoHits = uint32(memoHits - prevMemoHits)
@@ -307,28 +281,21 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			}
 		}
 		if decision.Rung == abr.NoRung {
-			if buffer <= 1e-9 {
+			if st.Buffer <= 1e-9 {
 				// Waiting on an empty buffer deadlocks the session; force
 				// the defensive lowest rung instead.
 				decision.Rung = 0
 			} else {
 				result.Waits++
-				wait := decision.WaitSeconds
-				if wait <= 0 || wait > l {
-					wait = l / 2
-				}
-				if wait > buffer {
-					wait = buffer
-				}
+				wait := player.Wait(decision.WaitSeconds, st.Buffer)
 				if rec != nil {
 					ev.Rung = abr.NoRung
 					ev.WaitSeconds = wait
 					rec.Commit()
 				}
-				cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), now, buffer, abr.NoRung, int16(prevRung))
+				cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), now, st.Buffer, abr.NoRung, int16(st.PrevRung))
 				advance(wait)
-				seg-- // retry the same segment index after idling
-				continue
+				continue // retry the same segment index after idling
 			}
 		}
 		rung := ladder.ClampIndex(decision.Rung)
@@ -337,7 +304,7 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			ev.Bitrate = ladder.Mbps(rung)
 			rec.Commit()
 		}
-		cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), now, buffer, int16(rung), int16(prevRung))
+		cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), now, st.Buffer, int16(rung), int16(st.PrevRung))
 
 		// Live-edge availability: the broadcast has not produced this
 		// segment yet; idle until it appears.
@@ -357,13 +324,12 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("sim: segment %d: %w", seg, err)
 		}
 		dlTime := cfg.LatencySeconds + dl
-		if cfg.Abandonment && playing && rung > 0 && dlTime > buffer+1e-9 {
+		if cfg.Abandonment && player.Playing(&st) && rung > 0 && dlTime > st.Buffer+1e-9 {
 			// The download would outlast the buffer: play out the buffer,
 			// abandon the in-flight segment at the moment the buffer runs
 			// dry, and refetch at the lowest rung (dash.js abandonment).
 			result.Abandons++
-			wasted := buffer
-			advance(wasted) // drains the buffer exactly
+			advance(st.Buffer) // drains the buffer exactly
 			rung = 0
 			size = sizes.SegmentMegabits(rung, seg)
 			dl, err = tr.DownloadTime(now+cfg.LatencySeconds, size)
@@ -372,54 +338,37 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			}
 			dlTime = cfg.LatencySeconds + dl
 		}
-		advance(dlTime)
-		buffer += l
-		if !playing && seg+1 >= startup {
-			playing = true
-		}
+		book(dlTime, player.Download(&st, dlTime))
 
 		lastMbps = size.Over(dlTime)
 		cfg.Predictor.Observe(predictor.Sample{Mbps: lastMbps, Duration: dlTime, EndTime: now})
 		tally.AddSegment(rung, utility(rung))
-		prevRung = rung
+		st.PrevRung = int32(rung)
 		if cfg.RecordTrajectory {
 			result.Trajectory = append(result.Trajectory, TrajectoryPoint{
 				Time:        now,
-				Buffer:      buffer,
+				Buffer:      st.Buffer,
 				Rung:        rung,
 				RebufferSec: segStall,
 			})
 		}
 		segStall = 0
 	}
-	// Drain the remaining buffer to finish the session.
-	if playing {
-		tally.AddPlayback(buffer)
-		now += buffer
-		buffer = 0
+	// Play out the remaining buffer to finish the session.
+	if player.Playing(&st) {
+		advance(st.Buffer)
 	}
 
 	result.Metrics = tally.Finalize(weights)
 	result.Rungs = append([]int(nil), tally.Rungs()...)
 	result.Duration = now
 	if rec != nil {
-		var total telemetry.SolverStats
-		if statsCore != nil || statser != nil {
+		var total *core.SolveStats
+		if statsCore != nil {
 			// One full snapshot per session: the lookup counters are not in
 			// the per-decision SolveWork fast path.
-			var s core.SolveStats
-			if statsCore != nil {
-				s = statsCore.SolveStats()
-			} else {
-				s = statser.SolveStats()
-			}
-			total = telemetry.SolverStats{
-				Solves: s.Solves, Nodes: s.Nodes,
-				MemoLookups: s.MemoLookups, MemoHits: s.MemoHits,
-				SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
-				TableLookups: s.TableLookups, TableHits: s.TableHits,
-				TableFallbacks: s.TableFallbacks,
-			}
+			s := statsCore.SolveStats()
+			total = &s
 		}
 		rec.Finish(total, result.Metrics.Segments, result.Metrics.RebufferSec)
 	}

@@ -5,23 +5,9 @@ import (
 	"os"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/units"
 )
-
-// SolverStats mirrors core.SolveStats without importing it, keeping the
-// telemetry layer free of controller dependencies (harnesses copy the fields
-// at the call site). All counters are per-session deltas.
-type SolverStats struct {
-	Solves         uint64
-	Nodes          uint64
-	MemoLookups    uint64
-	MemoHits       uint64
-	SharedLookups  uint64
-	SharedHits     uint64
-	TableLookups   uint64
-	TableHits      uint64
-	TableFallbacks uint64
-}
 
 // Collector bundles the standard SODA instruments on one registry plus the
 // decision trace ring. All methods are safe for concurrent use and nil-safe:
@@ -127,9 +113,11 @@ func (c *Collector) RecordDecision(ev DecisionEvent) {
 	}
 }
 
-// RecordSolverStats folds a per-session solver-work delta into the counters.
-func (c *Collector) RecordSolverStats(s SolverStats) {
-	if c == nil {
+// RecordSolverStats folds a solver-work delta (one session's, or one
+// decision's on the serving path) into the counters. A nil delta records
+// nothing.
+func (c *Collector) RecordSolverStats(s *core.SolveStats) {
+	if c == nil || s == nil {
 		return
 	}
 	addCounter(c.Solves, s.Solves)
@@ -360,9 +348,10 @@ func (r *SessionRecorder) flush() {
 }
 
 // Finish flushes buffered events, records the session's solver-work totals
-// and aggregates, and recycles the recorder. Call exactly once when the
-// session completes; the recorder must not be used afterwards.
-func (r *SessionRecorder) Finish(stats SolverStats, segments int, rebuffer units.Seconds) {
+// (nil for a controller without solver statistics) and aggregates, and
+// recycles the recorder. Call exactly once when the session completes; the
+// recorder must not be used afterwards.
+func (r *SessionRecorder) Finish(stats *core.SolveStats, segments int, rebuffer units.Seconds) {
 	if r == nil {
 		return
 	}

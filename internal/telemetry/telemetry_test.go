@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/units"
 )
 
@@ -259,7 +260,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 		rec.RecordDecision(&ev)
 	}
 	rec.RecordDecision(&DecisionEvent{Segment: 40, Rung: -1, PrevRung: 4, Buffer: units.Seconds(0.1), WaitSeconds: units.Seconds(0.5)})
-	rec.Finish(SolverStats{Solves: 41, Nodes: 500, MemoLookups: 41, MemoHits: 3, SharedLookups: 41, SharedHits: 7},
+	rec.Finish(&core.SolveStats{Solves: 41, Nodes: 500, MemoLookups: 41, MemoHits: 3, SharedLookups: 41, SharedHits: 7},
 		40, units.Seconds(1.25))
 
 	var buf bytes.Buffer
@@ -473,7 +474,7 @@ func TestRecorderMatchesDirect(t *testing.T) {
 	for _, ev := range events {
 		direct.RecordDecision(ev)
 	}
-	direct.RecordSolverStats(SolverStats{Solves: 700, Nodes: 9000})
+	direct.RecordSolverStats(&core.SolveStats{Solves: 700, Nodes: 9000})
 	direct.RecordSession(600, units.Seconds(2.5))
 
 	batched := NewCollector(nil, 2048)
@@ -481,7 +482,7 @@ func TestRecorderMatchesDirect(t *testing.T) {
 	for _, ev := range events {
 		rec.RecordDecision(&ev)
 	}
-	rec.Finish(SolverStats{Solves: 700, Nodes: 9000}, 600, units.Seconds(2.5))
+	rec.Finish(&core.SolveStats{Solves: 700, Nodes: 9000}, 600, units.Seconds(2.5))
 
 	a, b := direct.Snapshot(), batched.Snapshot()
 	if len(a.Metrics) != len(b.Metrics) {
@@ -515,7 +516,7 @@ func TestRecorderMatchesDirect(t *testing.T) {
 func TestNilCollectorAndRecorderAreSafe(t *testing.T) {
 	var c *Collector
 	c.RecordDecision(DecisionEvent{})
-	c.RecordSolverStats(SolverStats{Solves: 1})
+	c.RecordSolverStats(&core.SolveStats{Solves: 1})
 	c.RecordSession(10, units.Seconds(1))
 	rec := c.StartSession(3)
 	if rec != nil {
@@ -525,7 +526,7 @@ func TestNilCollectorAndRecorderAreSafe(t *testing.T) {
 		t.Fatal("nil recorder wants latency samples")
 	}
 	rec.RecordDecision(&DecisionEvent{})
-	rec.Finish(SolverStats{}, 0, units.Seconds(0))
+	rec.Finish(&core.SolveStats{}, 0, units.Seconds(0))
 	if snap := c.Snapshot(); len(snap.Metrics) != 0 || len(snap.Decisions) != 0 {
 		t.Fatal("nil collector snapshot not empty")
 	}
