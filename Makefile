@@ -126,6 +126,7 @@ loadgen-gate:
 # fuzz is the CI smoke budget; raise -fuzztime locally for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzTableAgainstScan -fuzztime 20s ./internal/sessiontable
 
 # vuln mirrors the CI govulncheck step: pinned version, and a visible skip
 # instead of a failure when the module proxy is unreachable (hermetic hosts).

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -1036,5 +1037,63 @@ func BenchmarkSessionTableDecide(b *testing.B) {
 		if res := svc.Decide(&req); res.Status != httpseg.StatusOK {
 			b.Fatalf("decide rejected: %d", res.Status)
 		}
+	}
+}
+
+// BenchmarkSessionTableAdmit measures admitting a new session key into a
+// DecideService whose table is full at soda-server's default 65,536-session
+// cap — the path every new viewer takes on a busy server. In the reclaim
+// arm every entry's TTL has expired, so each admission evicts the
+// least-recently-released session and creates the new one in its place; in
+// the reject arm none has, so each admission is refused with a capacity
+// rejection. Both must cost O(1) in the table size: each shard keeps its
+// idle sessions on a last-use-ordered list, and admission looks only at its
+// head. allocs/op is gated in bench_baseline.json.
+func BenchmarkSessionTableAdmit(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		ttl  time.Duration
+		want httpseg.DecideStatus
+	}{
+		{"reclaim", time.Nanosecond, httpseg.StatusOK},
+		{"reject", time.Hour, httpseg.StatusRejectedCapacity},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			svc, err := httpseg.NewDecideService(video.Prototype(), httpseg.DecideOptions{
+				CacheEntries:       1 << 12,
+				TableQuantum:       0.5,
+				SessionTTL:         tc.ttl,
+				SessionMemoEntries: -1,
+			}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := httpseg.DecideRequest{
+				Buffer:     units.Seconds(8),
+				Throughput: units.Mbps(1.5),
+				Segment:    -1,
+			}
+			// Fill every shard: keys that hash to an already-full shard are
+			// rejected (reject arm) or replace an expired entry (reclaim arm).
+			for i := 0; svc.SessionStats().Active < httpseg.DefaultMaxSessions; i++ {
+				if i == 4*httpseg.DefaultMaxSessions {
+					b.Fatalf("table stuck at %d sessions", svc.SessionStats().Active)
+				}
+				req.Session = "fill-" + strconv.Itoa(i)
+				svc.Decide(&req)
+			}
+			keys := make([]string, b.N)
+			for i := range keys {
+				keys[i] = "new-" + strconv.Itoa(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.Session = keys[i]
+				if res := svc.Decide(&req); res.Status != tc.want {
+					b.Fatalf("admission %d: status %d, want %d", i, res.Status, tc.want)
+				}
+			}
+		})
 	}
 }

@@ -51,7 +51,9 @@
 //
 //   - the full control-plane decide path (BenchmarkSessionTableDecide) must
 //     stay at 0 allocs/op — the steady state that lets one host carry tens
-//     of thousands of sessions.
+//     of thousands of sessions — and admitting a new key into a full
+//     65,536-session table (BenchmarkSessionTableAdmit/{reclaim,reject})
+//     must not allocate more than its baseline.
 //   - an in-process open-loop load run (internal/loadgen, 50k concurrent
 //     sessions by default) must meet the p99 decide-latency and rejection
 //     thresholds recorded in the baseline's LoadgenOpenLoop entry
@@ -178,9 +180,9 @@ func main() {
 	fleetBenchtime := flag.String("fleet-benchtime", "3x", "iteration budget for the fleet benchmark")
 	maxFleetNsRatio := flag.Float64("max-fleet-ns-ratio", 0,
 		"fleet vs single-session ns/decision ratio gate (0 takes the baseline's FleetSim entry)")
-	sessionPattern := flag.String("session-pattern", "BenchmarkSessionTableDecide$",
-		"control-plane decide benchmark pattern (empty skips the run; its 0 allocs/op floor lives in the baseline)")
-	sessionBenchtime := flag.String("session-benchtime", "20000x", "iteration budget for the control-plane decide benchmark")
+	sessionPattern := flag.String("session-pattern", "BenchmarkSessionTable(Decide|Admit)$",
+		"control-plane decide and admission benchmark pattern (empty skips the run; their allocs/op floors live in the baseline)")
+	sessionBenchtime := flag.String("session-benchtime", "20000x", "iteration budget for the control-plane decide and admission benchmarks")
 	loadgenSessions := flag.Int("loadgen-sessions", 50000, "concurrent sessions for the in-process load run")
 	loadgenRequests := flag.Int("loadgen-requests", 75000, "request budget for the in-process load run (0 skips the run and its gate)")
 	loadgenRPS := flag.Float64("loadgen-rps", 40000, "open-loop arrival rate for the in-process load run")

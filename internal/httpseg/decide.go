@@ -107,7 +107,10 @@ func (o DecideOptions) normalize() DecideOptions {
 //
 // Session lifecycle is owned by the sessiontable control plane: a sharded
 // table with idle (TTL) eviction, per-client token-bucket admission, a
-// bounded in-flight semaphore for backpressure, and graceful drain. The
+// bounded in-flight semaphore for backpressure, and graceful drain. At the
+// session cap a new viewer either replaces the least-recently-released
+// expired session or is rejected, in O(1) either way, so admission never
+// stalls the steady decides that share its table shard. The
 // table only manages lifecycle — solver inputs come exclusively from the
 // request and the session's own history — so eviction and recreation can
 // never change a decision (TestSessionTableConformance pins this).
@@ -295,9 +298,10 @@ func (s *DecideService) RefreshMetrics() {
 }
 
 // SweepSessions evicts sessions idle past the TTL and idle rate-limit
-// buckets, and returns the session eviction count. The server runs it
-// periodically; harnesses embedding the service in-process call it at their
-// own cadence.
+// buckets, and returns the session eviction count. The session sweep costs
+// O(evicted), not O(live): expired sessions sit at the head of each shard's
+// last-use-ordered idle list. The server runs it periodically; harnesses
+// embedding the service in-process call it at their own cadence.
 func (s *DecideService) SweepSessions(now time.Time) int {
 	n := s.sessions.Sweep(now.UnixNano())
 	if n > 0 {

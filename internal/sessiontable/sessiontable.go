@@ -12,9 +12,14 @@
 //
 // Concurrency layout follows core.SolveCache: a power-of-two shard count
 // (GOMAXPROCS-derived by default), one mutex per shard, cache-line padding
-// between shards. The steady-state path — Acquire of an existing session,
-// then Release — is allocation-free: a map lookup, two atomic updates, no
-// channel operations under any lock.
+// between shards. Each shard also keeps its idle sessions (no holders) on an
+// intrusive list ordered by last-use stamp, least recent at the head. The
+// steady-state path — Acquire of an existing session, then Release — is
+// allocation-free and takes two short shard-lock sections per decide: a map
+// lookup plus an unlink, then a stamp plus a relink. Admission, capacity
+// reclaim and capacity rejection are O(1) (reclaim only ever looks at the
+// list head), and Sweep is O(evicted), not O(live). No channel operation
+// runs under any lock.
 //
 // Clocks are injected: every method that needs time takes a caller-supplied
 // unix-nanosecond timestamp, so TTL boundary behaviour is testable without
@@ -53,6 +58,11 @@ const maxTableSessions = 1 << 26
 // Mu serialises the holder's per-session work (the decide critical section).
 // The table itself never takes Mu: refcounting, not locking, is what keeps
 // the sweep from evicting a session mid-decision.
+//
+// refs, lastUse, prev and next change only under the home shard's lock
+// (home.mu). The guardedby analyzer cannot express a lock that lives on
+// another struct, so that protocol is stated here and backed by the -race
+// suites.
 type Session struct {
 	// Value is the harness's per-session state, set once by the create
 	// callback passed to Acquire and never touched by the table again.
@@ -71,14 +81,20 @@ type Session struct {
 	key string
 	id  int64
 
-	// lastUse is the unix-nano timestamp of the last Release; the TTL sweep
-	// reads it without the shard lock, so it is atomic.
+	// lastUse is the unix-nano timestamp of the last Release, written under
+	// the home shard's lock.
 	lastUse atomic.Int64
-	// refs counts in-flight holders. Incremented under the shard lock in
-	// Acquire, decremented lock-free in Release; the sweep only evicts
-	// sessions it observes at zero while holding the shard lock, so a
-	// session can never disappear from under an active holder.
+	// refs counts in-flight holders. It changes only under the home shard's
+	// lock (raised in Acquire, lowered in Release), and a session is on its
+	// shard's idle list exactly when refs is zero. Reclaim and the sweep
+	// only take sessions off that list, so a session can never disappear
+	// from under an active holder.
 	refs atomic.Int32
+
+	// home is the shard the session's key hashes to; prev and next link the
+	// session into home's idle list while refs is zero.
+	home       *tableShard
+	prev, next *Session
 }
 
 // ID returns the session's table-assigned numeric id (stable for the
@@ -112,11 +128,19 @@ type Config struct {
 
 // tableShard is one independently locked partition of the session table. The
 // trailing pad keeps neighbouring shards' mutexes off one cache line.
+//
+// head and tail bound the shard's idle list: every entry with no holders,
+// ordered by last-use stamp with the least recent at the head. Entries with
+// equal stamps keep their release order.
 type tableShard struct {
 	mu sync.Mutex
 	//soda:guard mu
 	entries map[string]*Session
-	_       [64]byte
+	//soda:guard mu
+	head *Session
+	//soda:guard mu
+	tail *Session
+	_    [64]byte
 }
 
 // Table is the sharded session table. All methods are safe for concurrent
@@ -175,9 +199,14 @@ func New(cfg Config) *Table {
 	return t
 }
 
-// shardFor maps a session key onto its home shard (FNV-1a, like the solve
-// cache's key hash — cheap and allocation-free).
+// shardFor maps a session key onto its home shard.
 func (t *Table) shardFor(key string) *tableShard {
+	return &t.shards[keyHash(key)&t.mask]
+}
+
+// keyHash is FNV-1a over the session key, like the solve cache's key hash —
+// cheap and allocation-free.
+func keyHash(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -187,7 +216,7 @@ func (t *Table) shardFor(key string) *tableShard {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return &t.shards[h&t.mask]
+	return h
 }
 
 // Acquire returns the session stored under key, creating it with create when
@@ -214,7 +243,9 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 	sh := t.shardFor(key)
 	sh.mu.Lock()
 	if s, ok := sh.entries[key]; ok {
-		s.refs.Add(1)
+		if s.refs.Add(1) == 1 {
+			sh.unlinkLocked(s)
+		}
 		sh.mu.Unlock()
 		return s, nil
 	}
@@ -231,7 +262,7 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 		t.active.Add(-1)
 		t.evictedIdle.Add(1)
 	}
-	s := &Session{key: key, id: t.nextID.Add(1) - 1}
+	s := &Session{key: key, id: t.nextID.Add(1) - 1, home: sh}
 	s.lastUse.Store(now)
 	s.refs.Store(1)
 	if create != nil {
@@ -249,46 +280,90 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 }
 
 // reclaimLocked tries to make room in a full shard by evicting its
-// least-recently-used idle entry whose TTL has expired, returning the victim
-// (nil when nothing is reclaimable). Capacity pressure alone never evicts a
-// live (non-expired) session — admission control, not LRU churn, is the
-// policy at the limit. Callers hold mu, run the OnEvict hook, and account
-// the eviction in the table counters on success.
+// least-recently-released idle entry, the head of the idle list, if its TTL
+// has expired; it returns the victim, or nil when nothing is reclaimable.
+// Every other idle entry was released no earlier than the head, so when the
+// head is live no entry is expired: both outcomes cost O(1). Capacity
+// pressure alone never evicts a live (non-expired) session — admission
+// control, not LRU churn, is the policy at the limit — and held sessions are
+// never on the list. Callers hold mu, run the OnEvict hook, and account the
+// eviction in the table counters on success.
 //
 //soda:locked mu
 func (sh *tableShard) reclaimLocked(ttl, now int64) *Session {
-	if ttl <= 0 {
+	s := sh.head
+	if ttl <= 0 || s == nil || now-s.lastUse.Load() < ttl {
 		return nil
 	}
-	var oldest *Session
-	for _, s := range sh.entries {
-		if s.refs.Load() != 0 {
-			continue
-		}
-		if now-s.lastUse.Load() < ttl {
-			continue
-		}
-		if oldest == nil || s.lastUse.Load() < oldest.lastUse.Load() {
-			oldest = s
-		}
+	sh.unlinkLocked(s)
+	delete(sh.entries, s.key)
+	return s
+}
+
+// linkLocked puts an idle session on the list in last-use order. It walks
+// back from the tail past newer stamps, so a release whose clock reading
+// arrives after a later one still lands in order; stamps arrive nearly in
+// order, so the walk is O(1) amortised.
+//
+//soda:locked mu
+func (sh *tableShard) linkLocked(s *Session) {
+	stamp := s.lastUse.Load()
+	at := sh.tail
+	for at != nil && at.lastUse.Load() > stamp {
+		at = at.prev
 	}
-	if oldest == nil {
-		return nil
+	s.prev = at
+	if at == nil {
+		s.next = sh.head
+		sh.head = s
+	} else {
+		s.next = at.next
+		at.next = s
 	}
-	delete(sh.entries, oldest.key)
-	return oldest
+	if s.next == nil {
+		sh.tail = s
+	} else {
+		s.next.prev = s
+	}
+}
+
+// unlinkLocked takes a session off the idle list.
+//
+//soda:locked mu
+func (sh *tableShard) unlinkLocked(s *Session) {
+	if s.prev == nil {
+		sh.head = s.next
+	} else {
+		s.prev.next = s.next
+	}
+	if s.next == nil {
+		sh.tail = s.prev
+	} else {
+		s.next.prev = s.prev
+	}
+	s.prev, s.next = nil, nil
 }
 
 // Release returns a session acquired with Acquire, stamping its last-use
-// time. Allocation-free.
+// time under the home shard's lock. When the last holder leaves, the session
+// joins the shard's idle list in stamp order (O(1) amortised).
+// Allocation-free.
 func (t *Table) Release(s *Session, now int64) {
+	sh := s.home
+	sh.mu.Lock()
 	s.lastUse.Store(now)
-	s.refs.Add(-1)
+	if s.refs.Add(-1) == 0 {
+		sh.linkLocked(s)
+	}
+	sh.mu.Unlock()
 }
 
 // Sweep evicts every session idle longer than the TTL as of now and returns
-// the eviction count. Sessions with in-flight holders are skipped (their
-// last-use stamp is stale while they work). A zero-TTL table never evicts.
+// the eviction count. Expired sessions form a prefix of each shard's idle
+// list, so the sweep pops them from the head: its cost is O(evicted) plus one
+// lock per shard, not O(live). Sessions with in-flight holders are never on
+// the list (their last-use stamp is stale while they work). A zero-TTL table
+// never evicts.
 func (t *Table) Sweep(now int64) int {
 	if t.ttl <= 0 {
 		return 0
@@ -297,24 +372,21 @@ func (t *Table) Sweep(now int64) int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for key, s := range sh.entries {
-			if s.refs.Load() != 0 {
-				continue
-			}
-			if now-s.lastUse.Load() < t.ttl {
-				continue
-			}
-			delete(sh.entries, key)
+		n := 0
+		for s := sh.reclaimLocked(t.ttl, now); s != nil; s = sh.reclaimLocked(t.ttl, now) {
 			if t.onEvict != nil {
 				t.onEvict(s)
 			}
-			evicted++
+			n++
+		}
+		if n > 0 {
+			// Accounted before the unlock, like an Acquire reclaim, so Len
+			// cannot exceed the cap while admissions refill the freed slots.
+			t.active.Add(int64(-n))
+			t.evictedIdle.Add(uint64(n))
 		}
 		sh.mu.Unlock()
-	}
-	if evicted > 0 {
-		t.active.Add(int64(-evicted))
-		t.evictedIdle.Add(uint64(evicted))
+		evicted += n
 	}
 	return evicted
 }

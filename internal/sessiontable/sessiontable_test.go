@@ -3,7 +3,9 @@ package sessiontable
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -503,4 +505,118 @@ func TestSemaphoreBounds(t *testing.T) {
 		}
 	}()
 	NewSemaphore(0)
+}
+
+// TestTableConcurrentChurn drives the idle lists from every side at once
+// under the race detector: churners admit a fresh key per operation into a
+// full table with a one-tick TTL, so nearly every admission reclaims; holders
+// repeatedly take and drop one shared key, overlapping each other; a sweeper
+// runs throughout; and the shared clock hands out stamps that reach Release
+// out of order. The live count must never exceed the cap, a held session
+// must never be evicted, and every evicted handle must reach OnEvict exactly
+// once.
+func TestTableConcurrentChurn(t *testing.T) {
+	const (
+		capacity = 64
+		churners = 4
+		holders  = 4
+		ops      = 2000
+	)
+	var (
+		clock      atomic.Int64
+		nextHandle atomic.Uint64
+		mu         sync.Mutex
+		evicted    = map[uint64]int{}
+	)
+	tb := New(Config{MaxSessions: capacity, TTLNanos: 1, Shards: 4,
+		OnEvict: func(s *Session) {
+			if refs := s.refs.Load(); refs != 0 {
+				t.Errorf("evicted %q with %d holders", s.Key(), refs)
+			}
+			mu.Lock()
+			evicted[s.Handle]++
+			mu.Unlock()
+		}})
+	create := func(s *Session) error { s.Handle = nextHandle.Add(1); return nil }
+	acquire := func(key string) *Session {
+		s, err := tb.Acquire(key, clock.Add(1), create)
+		if err != nil && !errors.Is(err, ErrCapacity) {
+			t.Errorf("Acquire(%q): %v", key, err)
+		}
+		if n := tb.Len(); n > capacity {
+			t.Errorf("Len() = %d over the cap %d", n, capacity)
+		}
+		return s
+	}
+
+	var wg, sweeper sync.WaitGroup
+	for g := 0; g < churners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				if s := acquire(fmt.Sprintf("c%d-%d", g, i)); s != nil {
+					tb.Release(s, clock.Add(1))
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < holders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				s := acquire("shared")
+				if s == nil {
+					continue
+				}
+				stamp := clock.Add(1) // taken before the hold: arrives late
+				runtime.Gosched()
+				mu.Lock()
+				if evicted[s.Handle] != 0 {
+					t.Errorf("shared session (handle %d) evicted while held", s.Handle)
+				}
+				mu.Unlock()
+				tb.Release(s, stamp)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	sweeper.Add(1)
+	go func() {
+		defer sweeper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tb.Sweep(clock.Load())
+				runtime.Gosched()
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	sweeper.Wait()
+
+	st := tb.Stats()
+	if st.Created != st.EvictedIdle+uint64(st.Active) {
+		t.Fatalf("created %d != evicted %d + active %d", st.Created, st.EvictedIdle, st.Active)
+	}
+	if st.Created <= capacity {
+		t.Fatalf("only %d sessions created: the churn never ran the table at its cap", st.Created)
+	}
+	if st.Created != nextHandle.Load() {
+		t.Fatalf("created %d sessions, create callback ran %d times", st.Created, nextHandle.Load())
+	}
+	tb.Sweep(clock.Load() + 1)
+	if got := tb.Len(); got != 0 {
+		t.Fatalf("Len() = %d after the final sweep, want 0", got)
+	}
+	for h := uint64(1); h <= nextHandle.Load(); h++ {
+		if n := evicted[h]; n != 1 {
+			t.Fatalf("handle %d reached OnEvict %d times, want exactly once", h, n)
+		}
+	}
+	checkIdleLists(t, tb)
 }
