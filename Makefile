@@ -43,9 +43,12 @@ test-shuffle:
 # conformance re-runs the shared solve-cache, decision-table, telemetry and
 # arena bit-identity contracts under the race detector on their own, so a
 # cache, table, telemetry or arena regression fails with a named step even
-# though `make test` also covers them as part of the full suite.
+# though `make test` also covers them as part of the full suite. The core
+# step replays FuzzDecisionTableKey's seeds, whose concurrent phase binds
+# variant configurations to one shared policy set from parallel goroutines.
 conformance:
 	$(GO) test -race -run 'TestSodaSharedCache|TestSodaDecisionTable|TestSodaTelemetry|TestSodaArena|TestSodaFlightRec' ./internal/abrtest
+	$(GO) test -race -run 'FuzzDecisionTableKey|TestPolicySharing' ./internal/core
 
 # flightrec-conformance re-runs the flight-recorder purity contract under the
 # race detector on its own: sessions observed by the QoE-consistency watchdog

@@ -25,6 +25,10 @@
 // concurrently is the caller's contract, exactly as with heap-allocated
 // sessions: the fleet simulator partitions shards across workers, the
 // control plane serialises per session under the sessiontable entry lock.
+// An owner that fills a fresh shard densely and never frees its slots — the
+// fleet, where the i-th Alloc of a worker's shard is slot i for the cohort's
+// lifetime — may address them by (shard, index) through At, with no handle,
+// no generation check and no per-session pointer table of its own.
 //
 // Growth never moves memory: a shard grows by appending fresh slabs to a
 // fixed spine of atomic slab pointers, so interior pointers returned by the
@@ -334,6 +338,19 @@ func (a *Arena) sessionInlined(h Handle) (*core.Controller, *State, bool) {
 		return nil, nil, false
 	}
 	return &sl.ctrl[slot], &sl.state[slot], true
+}
+
+// At resolves slot idx of the shard to its controller, state and watch
+// without a handle: the dense owner's accessor of the shard-ownership
+// contract (see the package comment). It checks no generation, so idx must
+// name a slot the caller allocated and has not freed; the only loads are the
+// slab pointer and what the caller then reads through the results.
+//
+//soda:noalloc
+func (a *Arena) At(shard int, idx uint32) (*core.Controller, *State, *flightrec.SessionWatch) {
+	sl := a.shards[shard].spine[idx>>slabBits].Load()
+	slot := idx & slabMask
+	return &sl.ctrl[slot], &sl.state[slot], &sl.watch[slot]
 }
 
 // Watch resolves a handle to the slot's QoE-watchdog state. Like the other

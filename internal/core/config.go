@@ -212,18 +212,20 @@ type CostModel struct {
 	rateMin []float64
 	// noPrune disables the branch-and-bound cut (Config.DisablePruning).
 	noPrune bool
-	// scratch and stats are the solver's reusable search state and work
-	// counters; like the model itself they are not safe for concurrent use.
-	scratch solveScratch
-	stats   SolveStats
+	// stats counts the work of Solve and the standalone searches only, so a
+	// model bound into a shared Policy is never written after construction.
+	stats SolveStats
 }
 
-func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *CostModel {
+// newCostModel builds the model by value, so a Policy embeds it.
+func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) CostModel {
 	target := cfg.TargetBuffer
 	if target == 0 {
 		target = units.Seconds(cfg.TargetFraction * float64(bufferCap))
 	}
-	m := &CostModel{
+	n := ladder.Len()
+	tables := make([]float64, 3*n)
+	m := CostModel{
 		ladder: ladder,
 		dt:     ladder.SegmentSeconds,
 		xmax:   bufferCap,
@@ -231,7 +233,7 @@ func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Cos
 		beta:   cfg.Beta,
 		gamma:  cfg.Gamma,
 		eps:    cfg.Epsilon,
-		v:      make([]float64, ladder.Len()),
+		v:      tables[:n:n],
 	}
 	raw := func(r units.Mbps) float64 {
 		switch cfg.Distortion {
@@ -257,8 +259,8 @@ func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Cos
 		m.gapInv = 1
 	}
 	m.noPrune = cfg.DisablePruning
-	m.rate = make([]float64, ladder.Len())
-	m.rateMin = make([]float64, ladder.Len())
+	m.rate = tables[n : 2*n : 2*n]
+	m.rateMin = tables[2*n:]
 	running := math.Inf(1)
 	for i := 0; i < ladder.Len(); i++ {
 		m.rate[i] = m.v[i] * float64(m.dt) / float64(ladder.Mbps(i))

@@ -3,52 +3,75 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/abr"
 	"repro/internal/units"
 	"repro/internal/video"
 )
 
+// Policy is the immutable decision policy of one identity (config, ladder,
+// buffer cap): everything a decision reads besides its context — cost model,
+// fingerprint, steady horizon, quantum and bound decision table. Nothing in
+// it is written after newPolicy returns, so controllers share one freely:
+// those on a DecisionTables set share the set's Policy for their identity; a
+// controller without a set builds a private one on first use. The state is
+// quantized whenever a memo or a table can replay a decision, so a replayed
+// decision is a pure function of its key (see Config.MemoQuantum).
+type Policy struct {
+	cap    units.Seconds
+	tq     float64 // quantization step of the solved state; 0 solves exact states
+	k      int     // steady-state horizon
+	table  *decisionTable
+	model  CostModel
+	fp     uint64
+	cfg    Config
+	ladder video.Ladder
+}
+
+// newPolicy builds the policy of one identity; the caller binds its table.
+func newPolicy(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Policy {
+	p := &Policy{
+		cap:    bufferCap,
+		k:      steadyHorizon(cfg, ladder),
+		model:  newCostModel(cfg, ladder, bufferCap),
+		fp:     modelFingerprint(cfg, ladder, bufferCap),
+		cfg:    cfg,
+		ladder: ladder,
+	}
+	switch {
+	case cfg.DecisionTable != nil:
+		p.tq = cfg.tableQuantum()
+	case cfg.SolveMemoSize > 0:
+		p.tq = cfg.MemoQuantum
+	}
+	return p
+}
+
+// sameLadder reports whether two ladders are equal rung for rung.
+func sameLadder(a, b video.Ladder) bool {
+	return a.SegmentSeconds == b.SegmentSeconds && slices.Equal(a.Rungs, b.Rungs)
+}
+
 // Controller is the SODA ABR controller. It is created per session via New
 // and implements abr.Controller. Controllers are not safe for concurrent use;
 // each session gets its own instance.
+//
+// A Controller is its Policy plus this session's counters and optional memo:
+// 128 bytes, of which a table hit touches only the first 64. The pad keeps
+// the Controllers of an arena slab on whole cache lines.
 type Controller struct {
-	cfg     Config
-	ladder  video.Ladder
-	model   *CostModel // rebuilt lazily when the buffer cap changes
-	capFor  units.Seconds
-	scratch [1]units.Mbps // constant-prediction slice, reused across decisions
+	pol   *Policy
+	stats SolveStats
 
 	// memo is the Decide-level decision cache: a direct-mapped, fixed-size
 	// table keyed on the quantized planning state, valid across consecutive
 	// receding-horizon ticks (the buffer moves slowly relative to the
 	// quantum in steady state) and flushed on Reset and buffer cap changes.
 	// nil when Config.SolveMemoSize is 0.
-	memo        []memoEntry
-	memoMask    uint32
-	memoLookups uint64
-	memoHits    uint64
-
-	// shared is the optional fleet-wide solve cache (Config.SharedCache),
-	// consulted after a local memo miss. fp is the model fingerprint that
-	// scopes this controller's shared-cache keys; it is recomputed alongside
-	// the cost model because it covers the buffer cap.
-	shared        *SolveCache
-	fp            uint64
-	sharedLookups uint64
-	sharedHits    uint64
-
-	// tables is the optional fleet-wide compiled-table set
-	// (Config.DecisionTable); table is the compiled table bound for the
-	// current buffer cap, re-bound alongside the cost model. tq is the
-	// quantization step in effect (TableQuantum when a table is attached,
-	// MemoQuantum otherwise).
-	tables         *DecisionTables
-	table          *decisionTable
-	tq             float64
-	tableLookups   uint64
-	tableHits      uint64
-	tableFallbacks uint64
+	memo []memoEntry
+	_    [8]byte
 }
 
 // memoEntry is one direct-mapped cache slot. The full (quantized) key is
@@ -82,24 +105,46 @@ func New(cfg Config, ladder video.Ladder) *Controller {
 	return c
 }
 
+// validateFor reports configuration errors, including a steady-state horizon
+// beyond the solver's fixed search depth on this ladder.
+func validateFor(cfg Config, ladder video.Ladder) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if k := steadyHorizon(cfg, ladder); k > maxPlanSteps {
+		return fmt.Errorf("core: horizon of %d steps exceeds the solver's %d", k, maxPlanSteps)
+	}
+	return nil
+}
+
 // Init (re)initialises the controller in place — the arena path, where
 // controllers live by value inside slab arrays and slots are recycled across
 // sessions. It runs exactly the construction New performs (New is Init on a
 // fresh allocation), so an arena-resident controller is bit-identical to a
-// heap-allocated one by construction; abrtest.ArenaConformance pins this. A
-// recycled slot's memo backing array is reused when the configured size
+// heap-allocated one by construction; abrtest.ArenaConformance pins this.
+// Init is a policy lookup that allocates nothing once the policy exists: a
+// recycled slot keeps its policy, a controller on a table set starts from
+// the set's. A recycled slot's memo backing array is reused when the size
 // matches, flushed so no decision state crosses sessions. Like New, Init
 // panics on an invalid config.
 func (c *Controller) Init(cfg Config, ladder video.Ladder) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateFor(cfg, ladder); err != nil {
 		panic(err)
 	}
-	memo := c.memo
-	*c = Controller{cfg: cfg, ladder: ladder, shared: cfg.SharedCache, tables: cfg.DecisionTable}
-	c.tq = cfg.MemoQuantum
-	if c.tables != nil {
-		c.tq = cfg.tableQuantum()
+	pol := c.pol
+	if pol == nil || pol.cfg != cfg || !sameLadder(pol.ladder, ladder) {
+		pol = nil
+		if cfg.DecisionTable != nil {
+			pol = cfg.DecisionTable.anyPolicy(cfg, ladder)
+		}
+		if pol == nil {
+			// Not bound to any cap yet (NaN matches none): the first Decide or
+			// Prewarm builds the real policy, exactly as it would on a cap change.
+			pol = &Policy{cap: units.Seconds(math.NaN()), k: steadyHorizon(cfg, ladder), cfg: cfg, ladder: ladder}
+		}
 	}
+	memo := c.memo
+	*c = Controller{pol: pol}
 	if cfg.SolveMemoSize > 0 {
 		size := 1
 		for size < cfg.SolveMemoSize {
@@ -111,27 +156,18 @@ func (c *Controller) Init(cfg Config, ladder video.Ladder) {
 		} else {
 			c.memo = make([]memoEntry, size)
 		}
-		c.memoMask = uint32(size - 1)
 	}
 }
 
-// Prewarm eagerly binds everything Decide would otherwise build lazily on
-// first use: the cost model for this buffer cap (and with it the decision
-// table and shared-cache fingerprint) plus the solver scratch sized for the
-// largest horizon this configuration can plan. Decisions are unaffected —
-// the same structures appear on first Decide either way — but a fleet that
-// prewarms its sessions at setup pays every per-session allocation up front
-// and runs the steady decide path allocation-free from the first event.
+// Prewarm eagerly binds the policy for this buffer cap — the cost model, the
+// decision table and the shared-cache fingerprint — which Decide would
+// otherwise bind on first use. Decisions are unaffected, but a fleet that
+// prewarms its sessions at setup runs the steady decide path
+// allocation-free from the first event.
 func (c *Controller) Prewarm(bufferCap units.Seconds) {
-	m := c.modelFor(bufferCap)
-	k := c.cfg.Horizon
-	if maxK := int(c.cfg.MaxHorizonSeconds / c.ladder.SegmentSeconds); maxK >= 1 && k > maxK {
-		k = maxK
+	if c.pol.cap != bufferCap {
+		c.rebind(bufferCap)
 	}
-	if k < 1 {
-		k = 1
-	}
-	m.scratch.ensure(k)
 }
 
 // Name implements abr.Controller.
@@ -150,40 +186,21 @@ func (c *Controller) flushMemo() {
 	}
 }
 
-// SolveStats reports the solver work counters of the active cost model plus
-// this controller's memo traffic. Counters accumulate across Decide calls
-// until ResetSolveStats.
-func (c *Controller) SolveStats() SolveStats {
-	var s SolveStats
-	if c.model != nil {
-		s = c.model.stats
-	}
-	s.MemoLookups, s.MemoHits = c.memoLookups, c.memoHits
-	s.SharedLookups, s.SharedHits = c.sharedLookups, c.sharedHits
-	s.TableLookups, s.TableHits, s.TableFallbacks = c.tableLookups, c.tableHits, c.tableFallbacks
-	return s
-}
+// SolveStats reports this controller's solver work and its memo, shared-cache
+// and table traffic. Counters accumulate across Decide calls — and across
+// buffer cap changes — until ResetSolveStats.
+func (c *Controller) SolveStats() SolveStats { return c.stats }
 
 // SolveWork returns the five cumulative work counters the telemetry layer
 // snapshots around every Decide call. It exists alongside SolveStats because
 // the full multi-field struct costs two 64-byte-plus copies per decision on
 // the simulator's hot loop; five scalars come back in registers.
 func (c *Controller) SolveWork() (solves, nodes, memoHits, sharedHits, tableHits uint64) {
-	if c.model != nil {
-		solves, nodes = c.model.stats.Solves, c.model.stats.Nodes
-	}
-	return solves, nodes, c.memoHits, c.sharedHits, c.tableHits
+	return c.stats.Solves, c.stats.Nodes, c.stats.MemoHits, c.stats.SharedHits, c.stats.TableHits
 }
 
 // ResetSolveStats zeroes the solver and memo work counters.
-func (c *Controller) ResetSolveStats() {
-	if c.model != nil {
-		c.model.ResetSolveStats()
-	}
-	c.memoLookups, c.memoHits = 0, 0
-	c.sharedLookups, c.sharedHits = 0, 0
-	c.tableLookups, c.tableHits, c.tableFallbacks = 0, 0, 0
-}
+func (c *Controller) ResetSolveStats() { c.stats = SolveStats{} }
 
 // quantize rounds x to the nearest multiple of step (identity when step <= 0),
 // preserving the unit type of its argument.
@@ -206,44 +223,34 @@ func memoHash(qx units.Seconds, qw units.Mbps, prev, k, maxRung int) uint32 {
 	return uint32(z>>32) ^ uint32(z)
 }
 
-// horizon returns the effective K for this decision: the configured horizon,
-// clamped by the 10-second prediction-validity cap (§5.2) and by the number
-// of remaining segments.
+// horizon returns the effective K for this decision: the policy's steady
+// horizon (the configured horizon clamped by the 10-second prediction-validity
+// cap, §5.2), clamped by the number of remaining segments.
 func (c *Controller) horizon(ctx *abr.Context) int {
-	k := c.cfg.Horizon
-	if maxK := int(c.cfg.MaxHorizonSeconds / c.ladder.SegmentSeconds); maxK >= 1 && k > maxK {
-		k = maxK
-	}
+	k := c.pol.k
 	if ctx.TotalSegments > 0 {
 		if rem := ctx.TotalSegments - ctx.SegmentIndex; rem >= 1 && k > rem {
 			k = rem
 		}
 	}
-	if k < 1 {
-		k = 1
-	}
 	return k
 }
 
-func (c *Controller) modelFor(bufferCap units.Seconds) *CostModel {
-	if c.model == nil || c.capFor != bufferCap {
-		c.model = newCostModel(c.cfg, c.ladder, bufferCap)
-		c.capFor = bufferCap
-		// The memo key does not include the buffer cap (it is fixed per
-		// session in every harness), so a cap change invalidates the cache.
-		c.flushMemo()
-		if c.shared != nil || c.tables != nil {
-			// The shared-cache key and the table identity must include the
-			// cap, and do so through the fingerprint — which therefore tracks
-			// the model rebuilds.
-			c.fp = modelFingerprint(c.cfg, c.ladder, bufferCap)
-		}
-		if c.tables != nil {
-			// Bind (compiling on first use) the table for the new cap.
-			c.table = c.tables.tableFor(c.fp, c.cfg, c.ladder, bufferCap)
-		}
+// rebind binds the policy for a new buffer cap: a lookup in the table set
+// (allocation-free once the set holds the identity) or, without a set, a
+// private policy. The memo key does not include the cap (it is fixed per
+// session in every harness), so a rebind flushes the memo; the work counters
+// live on the controller and carry over.
+func (c *Controller) rebind(bufferCap units.Seconds) *Policy {
+	p := c.pol
+	if s := p.cfg.DecisionTable; s != nil {
+		p = s.policy(p.cfg, p.ladder, bufferCap)
+	} else {
+		p = newPolicy(p.cfg, p.ladder, bufferCap)
 	}
-	return c.model
+	c.pol = p
+	c.flushMemo()
+	return p
 }
 
 // Decide implements abr.Controller: solve the K-step predictive problem and
@@ -251,7 +258,11 @@ func (c *Controller) modelFor(bufferCap units.Seconds) *CostModel {
 //
 //soda:noalloc
 func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
-	m := c.modelFor(ctx.BufferCap)
+	p := c.pol
+	if p.cap != ctx.BufferCap {
+		p = c.rebind(ctx.BufferCap)
+	}
+	m := &p.model
 
 	// No room for another segment: idle until the buffer drains — the blank
 	// no-download region of Fig. 5. (Player harnesses typically enforce this
@@ -260,21 +271,16 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		return abr.Wait(over)
 	}
 
+	// Solve at the policy's quantized state (exact when neither a memo nor a
+	// table is attached), so the cached (or compiled) decision is a pure
+	// function of the memo/table key: hits and misses agree by construction,
+	// and replaying a context stream is order-independent.
 	k := c.horizon(ctx)
-	omega := ctx.PredictSafe(m.dt.Scale(float64(k)))
-	x0 := ctx.Buffer
-	if c.memo != nil || c.table != nil {
-		// Solve at the quantized state so the cached (or compiled) decision
-		// is a pure function of the memo/table key: hits and misses agree by
-		// construction, and replaying a context stream is order-independent.
-		omega = quantize(omega, c.tq)
-		x0 = quantize(x0, c.tq)
-	}
-	c.scratch[0] = omega
-	omegas := c.scratch[:]
+	omega := quantize(ctx.PredictSafe(m.dt.Scale(float64(k))), p.tq)
+	x0 := quantize(ctx.Buffer, p.tq)
 
-	maxRung := c.ladder.Len() - 1
-	if c.cfg.CapToThroughput {
+	maxRung := p.ladder.Len() - 1
+	if p.cfg.CapToThroughput {
 		// §5.1: never move *up* past min{r in R : r >= ω̂}, so the controller
 		// cannot commit to a download that takes much longer than Δt. The
 		// cap does not force down-switches below the current rung: sustained
@@ -282,7 +288,7 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		// transient ω̂ dips ride on the buffer — forcing the cap on
 		// down-moves would re-introduce exactly the prediction-jitter
 		// switching SODA exists to avoid.
-		maxRung = c.ladder.CapIndex(omega)
+		maxRung = p.ladder.CapIndex(omega)
 		if ctx.PrevRung > maxRung {
 			maxRung = ctx.PrevRung
 		}
@@ -293,24 +299,23 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// state, so the lookup is the whole decision. Out-of-domain states fall
 	// through to the memo/shared-cache/solver pipeline on the same quantized
 	// values — the fallback is literally the table-free path.
-	if c.table != nil {
-		c.tableLookups++
-		if r, ok := c.table.lookup(x0, omega, ctx.PrevRung, k); ok {
-			c.tableHits++
+	if p.table != nil {
+		c.stats.TableLookups++
+		if r, ok := p.table.lookup(x0, omega, ctx.PrevRung, k); ok {
+			c.stats.TableHits++
 			return abr.Decision{Rung: r}
 		}
-		c.tableFallbacks++
+		c.stats.TableFallbacks++
 	}
 
+	// fill is this state's memo slot content, less the rung.
+	fill := memoEntry{qx: x0, qw: omega, prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung), used: true}
 	var entry *memoEntry
 	if c.memo != nil {
-		c.memoLookups++
-		h := memoHash(x0, omega, ctx.PrevRung, k, maxRung)
-		entry = &c.memo[h&c.memoMask]
-		if entry.used && entry.qx == x0 && entry.qw == omega &&
-			entry.prev == int32(ctx.PrevRung) && entry.k == int32(k) &&
-			entry.maxRung == int32(maxRung) {
-			c.memoHits++
+		c.stats.MemoLookups++
+		entry = &c.memo[memoHash(x0, omega, ctx.PrevRung, k, maxRung)&uint32(len(c.memo)-1)]
+		if fill.rung = entry.rung; *entry == fill {
+			c.stats.MemoHits++
 			return abr.Decision{Rung: int(entry.rung)}
 		}
 	}
@@ -320,36 +325,32 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// precisely what a miss would compute — decisions are bit-identical with
 	// the shared cache on or off. A hit also back-fills the local memo slot,
 	// keeping subsequent ticks of this session off the shared mutexes.
+	shared := p.cfg.SharedCache
 	var key cacheKey
-	if c.shared != nil {
+	if shared != nil {
 		key = cacheKey{
-			fp: c.fp, x: x0, w: omega,
+			fp: p.fp, x: x0, w: omega,
 			prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
 		}
-		c.sharedLookups++
-		if r, ok := c.shared.get(key); ok {
-			c.sharedHits++
+		c.stats.SharedLookups++
+		if r, ok := shared.get(key); ok {
+			c.stats.SharedHits++
 			if entry != nil {
-				*entry = memoEntry{
-					qx: x0, qw: omega,
-					prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
-					rung: r, used: true,
-				}
+				fill.rung = r
+				*entry = fill
 			}
 			return abr.Decision{Rung: int(r)}
 		}
 	}
 
-	rung := solveFirstRung(m, c.cfg.UseBruteForce, omegas, x0, ctx.PrevRung, k, maxRung)
+	omegas := [1]units.Mbps{omega} // a constant prediction over the horizon
+	rung := solveFirstRung(m, &c.stats, p.cfg.UseBruteForce, omegas[:], x0, ctx.PrevRung, k, maxRung)
 	if entry != nil {
-		*entry = memoEntry{
-			qx: x0, qw: omega,
-			prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
-			rung: int32(rung), used: true,
-		}
+		fill.rung = int32(rung)
+		*entry = fill
 	}
-	if c.shared != nil {
-		c.shared.put(key, int32(rung))
+	if shared != nil {
+		shared.put(key, int32(rung))
 	}
 	return abr.Decision{Rung: rung}
 }
@@ -357,7 +358,7 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 // solveFirstRung commits the first decision of the K-step predictive problem
 // — the receding-horizon core shared by Decide and the decision-table
 // compiler, so compiled cells are bit-identical to live solves by
-// construction.
+// construction. Work counts into st; the search state lives on this frame.
 //
 // With overflow clamped in the plan (see CostModel.stepCost), the only way
 // every plan can be infeasible is buffer starvation: even r_min cannot keep
@@ -367,13 +368,14 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 // possible refill.
 //
 //soda:noalloc
-func solveFirstRung(m *CostModel, bruteForce bool, omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) int {
+func solveFirstRung(m *CostModel, st *SolveStats, bruteForce bool, omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) int {
+	var s solveScratch
 	for h := k; h >= 1; h-- {
 		var res solveResult
 		if bruteForce {
 			res = m.bruteForce(omegas, x0, prevRung, h, maxRung)
 		} else {
-			res = m.searchMonotonic(omegas, x0, prevRung, h, maxRung)
+			res = m.search(st, &s, omegas, x0, prevRung, h, maxRung)
 		}
 		if res.rung >= 0 {
 			return res.rung
@@ -440,7 +442,7 @@ func RenderDiagram(cells []DiagramCell, buffers []units.Seconds, omegas []units.
 		}
 		out += row + "\n"
 	}
-	out += "        +" + repeat("-", len(omegas)) + "\n"
+	out += "        +" + strings.Repeat("-", len(omegas)) + "\n"
 	out += fmt.Sprintf("         ω̂: %.1f .. %.1f Mb/s\n", omegas[0], omegas[len(omegas)-1])
 	return out
 }
@@ -451,14 +453,6 @@ func indexOf[T comparable](xs []T) map[T]int {
 		m[x] = i
 	}
 	return m
-}
-
-func repeat(s string, n int) string {
-	out := ""
-	for i := 0; i < n; i++ {
-		out += s
-	}
-	return out
 }
 
 // Grid returns n evenly spaced values covering [lo, hi] inclusive, preserving

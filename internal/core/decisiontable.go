@@ -3,40 +3,41 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/units"
 	"repro/internal/video"
 )
 
-// DecisionTables is a fleet-wide set of compiled decision tables shared by
-// any number of controller instances (Config.DecisionTable). The paper's
-// Fig. 5 decision diagram is the observation it exploits: for a fixed cost
-// model the committed decision is a pure function of the quantized
-// (buffer level, predicted throughput, previous rung) planning state, so the
-// whole map can be compiled once — lazily on first bind, or eagerly via
-// CompileTable — and the hot path becomes an O(1) array load with no locks,
-// no hashing and no allocation.
+// DecisionTables is a fleet-wide set of shared policies and their compiled
+// decision tables (Config.DecisionTable). The paper's Fig. 5 decision diagram
+// is the observation it exploits: for a fixed cost model the committed
+// decision is a pure function of the quantized (buffer level, predicted
+// throughput, previous rung) planning state, so the whole map can be
+// compiled once — lazily on first bind, or eagerly via CompileTable — and the
+// hot path becomes an O(1) array load with no locks, no hashing and no
+// allocation.
 //
-// Identity and bit-identity. A table is keyed by the 64-bit model
-// fingerprint of core/solvecache.go plus everything the fingerprint
-// deliberately excludes but the compiled answers depend on: the quantization
-// step, the steady-state horizon and the §5.1 throughput-cap mode. Cells are
-// filled by the exact solver path Decide itself runs (solveFirstRung at the
-// quantized state), so a table hit returns precisely what the solver would —
-// the TableConformance contract in internal/abrtest pins this bit-for-bit,
-// and FuzzDecisionTableKey hammers the keying at domain edges.
+// Sharing. Controllers on one set with equal identities — config, ladder and
+// buffer cap, compared in full — get the same immutable Policy. Policies
+// whose configs differ only in knobs a table does not depend on (see
+// tableKey) share one compiled table. Cells are filled by the exact solver
+// path Decide runs (solveFirstRung at the quantized state), so a table hit
+// returns precisely what the solver would — the TableConformance contract in
+// internal/abrtest pins this bit-for-bit, and FuzzDecisionTableKey hammers
+// the keying at domain edges and under concurrent binding.
 //
 // Domain and fallback. A table covers buffer in [0, cap] and predicted
 // throughput in [0, 2x the ladder's top rung] at its quantum, for the
 // steady-state horizon only. Any state outside that box — session-tail
 // horizons, out-of-range or non-finite predictions — falls through to the
 // ordinary memo/shared-cache/solver path untouched; states are never clamped
-// into the table. Oversized geometries (absurd buffer caps at a fine
-// quantum) and bindings past the table budget compile to a permanent
-// fallback-only stub instead of failing, so a hostile buffer cap cannot
-// become a compile-time denial of service.
+// into the table. Oversized geometries compile to a fallback-only stub.
+//
+// Budget. A set holds at most its budget of policies. A binding past it gets
+// a private policy with a stub table and leaves the set as it is, so identity
+// churn (per-request buffer caps on a server) costs one policy build per
+// bind — never set memory, compile work or a longer scan.
 //
 // A DecisionTables set is safe for concurrent use and is injected state: it
 // holds no package-level variables and launches no goroutines, which keeps
@@ -44,16 +45,16 @@ import (
 type DecisionTables struct {
 	mu sync.Mutex
 	//soda:guard mu
-	tables    map[uint64]*decisionTable
+	policies  []*Policy
 	maxTables int
 	//soda:guard mu
-	compileSolves uint64
+	stats TableStats // Tables is the compiled count
 }
 
-// DefaultMaxTables bounds how many distinct table identities one set will
-// compile. A deployment serves a handful of (ladder, config, cap) tuples;
-// the bound exists so identity churn (e.g. per-request buffer caps on a
-// server) degrades to solver fallbacks, not unbounded memory.
+// DefaultMaxTables bounds how many policies (and so compiled tables) one set
+// holds. A deployment serves a handful of (ladder, config, cap) tuples; the
+// bound exists so identity churn (e.g. per-request buffer caps on a server)
+// degrades to solver fallbacks, not unbounded memory.
 const DefaultMaxTables = 64
 
 // maxTableCells bounds one table's cell count (1-byte cells, so the largest
@@ -66,53 +67,34 @@ const maxTableCells = 1 << 23
 // 2x and everything beyond falls back to the solver (never clamped).
 const tableThroughputSpan = 2.0
 
-// NewDecisionTables builds an empty set with the default table budget.
+// NewDecisionTables builds an empty set with the default budget.
 func NewDecisionTables() *DecisionTables {
 	return NewDecisionTablesSized(DefaultMaxTables)
 }
 
-// NewDecisionTablesSized is NewDecisionTables with an explicit budget on
-// compiled tables; bindings past the budget get fallback-only stubs. It
-// panics on a non-positive budget: table budgets are program constants in
-// every harness, exactly like cache sizes.
+// NewDecisionTablesSized is NewDecisionTables with an explicit budget on the
+// policies the set holds; bindings past the budget get private fallback-only
+// policies. It panics on a non-positive budget: table budgets are program
+// constants in every harness, exactly like cache sizes.
 func NewDecisionTablesSized(maxTables int) *DecisionTables {
 	if maxTables <= 0 {
 		panic(fmt.Sprintf("core: non-positive decision table budget %d", maxTables))
 	}
-	return &DecisionTables{
-		tables:    make(map[uint64]*decisionTable),
-		maxTables: maxTables,
-	}
+	return &DecisionTables{maxTables: maxTables}
 }
 
 // decisionTable is one immutable compiled table. rungs holds the committed
 // first decision for every (prev+1, buffer bin, throughput bin) cell; a stub
 // has no cells and answers every lookup with a fallback.
 type decisionTable struct {
-	fp              uint64
-	quantum         float64
-	k               int32
-	capToThroughput bool
-	xBins           int32
-	wBins           int32
-	planes          int32
-	rungs           []int8
-	stub            bool
-}
-
-// tableIdentity mixes the model fingerprint with the knobs the fingerprint
-// excludes but the compiled answers (or the grid geometry) depend on. Two
-// controllers share a table exactly when their identities match; the
-// cross-contamination fuzzer drives configs that agree on the fingerprint
-// but differ here.
-func tableIdentity(fp uint64, quantum float64, k int, capToThroughput bool) uint64 {
-	h := mix64(fp ^ 0xa24baed4963ee407)
-	h = mix64(h ^ math.Float64bits(quantum))
-	bits := uint64(uint32(k)) << 1
-	if capToThroughput {
-		bits |= 1
-	}
-	return mix64(h ^ bits)
+	fp      uint64
+	quantum float64
+	k       int32
+	xBins   int32
+	wBins   int32
+	planes  int32
+	rungs   []int8
+	stub    bool
 }
 
 // steadyHorizon is the effective planning horizon absent the
@@ -141,37 +123,73 @@ func (c Config) tableQuantum() float64 {
 	return c.MemoQuantum
 }
 
-// tableFor returns the compiled table for the configuration, compiling it
-// under the set lock on first use. fp must be modelFingerprint(cfg, ladder,
-// bufferCap) — the caller (modelFor) already maintains it.
-func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bufferCap units.Seconds) *decisionTable {
-	q := cfg.tableQuantum()
-	k := steadyHorizon(cfg, ladder)
-	id := tableIdentity(fp, q, k, cfg.CapToThroughput)
+// tableKey reduces the config to what a compiled table depends on: the
+// model fingerprint's inputs, the horizon, the §5.1 cap mode and the
+// quantum. Memo sizing, the memo quantum it overrides and the shared cache
+// shape which states a session visits, never the decision at a state.
+func (c Config) tableKey() Config {
+	c.TableQuantum = c.tableQuantum()
+	c.MemoQuantum, c.SolveMemoSize, c.SharedCache, c.DecisionTable = 0, 0, nil, nil
+	return c
+}
+
+// stubTable is a fallback-only table for the policy.
+func stubTable(p *Policy) *decisionTable {
+	return &decisionTable{fp: p.fp, quantum: p.tq, k: int32(p.k), stub: true}
+}
+
+// policy returns the set's policy for the identity, building it on first use
+// under the set lock: it reuses the compiled table of a policy with the same
+// table identity, or compiles one. Past the budget it returns a private
+// policy with a stub table and inserts nothing.
+func (s *DecisionTables) policy(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Policy {
+	key := cfg.tableKey()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables[id]; ok {
-		return t
-	}
-	t := &decisionTable{
-		fp:              fp,
-		quantum:         q,
-		k:               int32(k),
-		capToThroughput: cfg.CapToThroughput,
-		stub:            true,
-	}
-	compiled := 0
-	for _, other := range s.sortedIDs() {
-		if !s.tables[other].stub {
-			compiled++
+	var table *decisionTable
+	for _, p := range s.policies {
+		if p.cap != bufferCap || !sameLadder(p.ladder, ladder) {
+			continue
+		}
+		if p.cfg == cfg {
+			return p
+		}
+		if p.cfg.tableKey() == key {
+			table = p.table
 		}
 	}
-	if compiled < s.maxTables && t.planGeometry(ladder, bufferCap) {
-		s.compileSolves += t.compile(cfg, ladder, bufferCap)
-		t.stub = false
+	p := newPolicy(cfg, ladder, bufferCap)
+	if len(s.policies) >= s.maxTables {
+		p.table = stubTable(p)
+		return p
 	}
-	s.tables[id] = t
-	return t
+	if table == nil {
+		table = stubTable(p)
+		if table.planGeometry(ladder, bufferCap) {
+			s.stats.CompileSolves += table.compile(p)
+			table.stub = false
+			s.stats.Tables++
+			s.stats.Cells += len(table.rungs)
+		} else {
+			s.stats.Stubs++
+		}
+	}
+	p.table = table
+	s.policies = append(s.policies, p)
+	return p
+}
+
+// anyPolicy returns the set's first policy with exactly this config and
+// ladder, at whatever cap, or nil: where Init starts a controller.
+func (s *DecisionTables) anyPolicy(cfg Config, ladder video.Ladder) *Policy {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.policies {
+		if p.cfg == cfg && sameLadder(p.ladder, ladder) {
+			return p
+		}
+	}
+	return nil
 }
 
 // planGeometry derives the grid from the ladder and buffer cap, reporting
@@ -194,35 +212,35 @@ func (t *decisionTable) planGeometry(ladder video.Ladder, bufferCap units.Second
 
 // compile fills every cell with the decision the solver commits at that
 // cell's exact quantized state, mirroring Decide's solver path bit for bit:
-// the same quantized values (bin index times quantum — the identical
-// expression quantize produces), the same §5.1 throughput cap, the same
-// receding-horizon infeasibility fallback (solveFirstRung). It returns the
-// number of planning problems solved. A private cost model keeps compilation
-// work out of any controller's SolveStats.
-func (t *decisionTable) compile(cfg Config, ladder video.Ladder, bufferCap units.Seconds) uint64 {
-	m := newCostModel(cfg, ladder, bufferCap)
+// the policy's cost model, the same quantized values (bin index times quantum
+// — the identical expression quantize produces), the same §5.1 throughput
+// cap, the same receding-horizon infeasibility fallback (solveFirstRung). It
+// returns the number of planning problems solved, counted apart from any
+// controller's SolveStats.
+func (t *decisionTable) compile(p *Policy) uint64 {
+	var st SolveStats
+	n := p.ladder.Len()
 	t.rungs = make([]int8, int(t.planes)*int(t.xBins)*int(t.wBins))
-	var scratch [1]units.Mbps
 	idx := 0
-	for prev := -1; prev < ladder.Len(); prev++ {
+	for prev := -1; prev < n; prev++ {
 		for xi := int32(0); xi < t.xBins; xi++ {
 			x0 := units.Seconds(float64(xi) * t.quantum)
 			for wi := int32(0); wi < t.wBins; wi++ {
 				omega := units.Mbps(float64(wi) * t.quantum)
-				maxRung := ladder.Len() - 1
-				if cfg.CapToThroughput {
-					maxRung = ladder.CapIndex(omega)
+				maxRung := n - 1
+				if p.cfg.CapToThroughput {
+					maxRung = p.ladder.CapIndex(omega)
 					if prev > maxRung {
 						maxRung = prev
 					}
 				}
-				scratch[0] = omega
-				t.rungs[idx] = int8(solveFirstRung(m, cfg.UseBruteForce, scratch[:], x0, prev, int(t.k), maxRung))
+				omegas := [1]units.Mbps{omega}
+				t.rungs[idx] = int8(solveFirstRung(&p.model, &st, p.cfg.UseBruteForce, omegas[:], x0, prev, int(t.k), maxRung))
 				idx++
 			}
 		}
 	}
-	return m.stats.Solves
+	return st.Solves
 }
 
 // lookup returns the compiled decision for an already-quantized state, or a
@@ -287,12 +305,14 @@ type TableInfo struct {
 	Stub bool
 }
 
-// CompileTable eagerly compiles (or returns the already-compiled) table for
-// the configuration, so harnesses can pay the compile cost at boot instead
-// of on the first session's first decision. The config's own DecisionTable
-// field is ignored — the receiver is the set compiled into.
+// CompileTable eagerly binds the set's policy for the configuration,
+// compiling its table (or returning the already-compiled one), so harnesses
+// can pay the compile cost at boot instead of on the first session's first
+// decision. The config's DecisionTable field is set to the receiver, so the
+// policy is the one the configuration's controllers bind.
 func (s *DecisionTables) CompileTable(cfg Config, ladder video.Ladder, bufferCap units.Seconds) (TableInfo, error) {
-	if err := cfg.Validate(); err != nil {
+	cfg.DecisionTable = s
+	if err := validateFor(cfg, ladder); err != nil {
 		return TableInfo{}, err
 	}
 	if cfg.tableQuantum() <= 0 {
@@ -304,8 +324,7 @@ func (s *DecisionTables) CompileTable(cfg Config, ladder video.Ladder, bufferCap
 	if !(bufferCap > 0) {
 		return TableInfo{}, fmt.Errorf("core: non-positive buffer cap %v", bufferCap)
 	}
-	fp := modelFingerprint(cfg, ladder, bufferCap)
-	return s.tableFor(fp, cfg, ladder, bufferCap).info(), nil
+	return s.policy(cfg, ladder, bufferCap).table.info(), nil
 }
 
 // TableStats is a point-in-time snapshot of a set's compiled tables,
@@ -313,7 +332,9 @@ func (s *DecisionTables) CompileTable(cfg Config, ladder video.Ladder, bufferCap
 // hit and fallback traffic is per-controller state (SolveStats) — the hot
 // path touches no shared counters.
 type TableStats struct {
-	// Tables counts compiled tables; Stubs counts fallback-only bindings.
+	// Tables counts compiled tables; Stubs counts the set's fallback-only
+	// tables (oversized geometries). Bindings past the budget get private
+	// stubs the set does not hold, so they count in neither.
 	Tables int
 	Stubs  int
 	// Cells is the total compiled cell count across tables.
@@ -333,29 +354,5 @@ func (s TableStats) String() string {
 func (s *DecisionTables) Stats() TableStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := TableStats{CompileSolves: s.compileSolves}
-	for _, id := range s.sortedIDs() {
-		t := s.tables[id]
-		if t.stub {
-			st.Stubs++
-			continue
-		}
-		st.Tables++
-		st.Cells += len(t.rungs)
-	}
-	return st
-}
-
-// sortedIDs returns the set's table identities in ascending order, so every
-// iteration over the table map is deterministic (the detrange idiom).
-// Callers hold s.mu.
-//
-//soda:locked mu
-func (s *DecisionTables) sortedIDs() []uint64 {
-	ids := make([]uint64, 0, len(s.tables))
-	for id := range s.tables {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return s.stats
 }

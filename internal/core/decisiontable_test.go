@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/abr"
@@ -185,10 +186,11 @@ func TestDecisionTableFallbackDomain(t *testing.T) {
 }
 
 // TestDecisionTableStubsAndBudget checks the two degrade-to-fallback paths:
-// a geometry too large for maxTableCells and a binding past the set's table
-// budget both produce permanent stubs — controllers keep deciding exactly
-// like the table-free path, with every lookup a fallback — instead of
-// failing or compiling unboundedly (the httpseg cap-churn defence).
+// a geometry too large for maxTableCells compiles to a stub the set holds,
+// and a binding past the set's budget gets a private stub the set does not
+// hold. Either way controllers keep deciding exactly like the table-free
+// path, with every lookup a fallback, instead of failing or compiling
+// unboundedly (the httpseg cap-churn defence).
 func TestDecisionTableStubsAndBudget(t *testing.T) {
 	ladder := video.YouTube4K()
 
@@ -246,8 +248,11 @@ func TestDecisionTableStubsAndBudget(t *testing.T) {
 				t.Fatalf("decision %d: over-budget %+v != plain %+v", i, got, want)
 			}
 		}
-		if ts := tables.Stats(); ts.Tables != 1 || ts.Stubs != 1 {
+		if ts := tables.Stats(); ts.Tables != 1 || ts.Stubs != 0 {
 			t.Fatalf("set stats after budget exhaustion: %s", ts)
+		}
+		if n := tables.size(); n != 1 {
+			t.Fatalf("set holds %d policies past a budget of 1", n)
 		}
 	})
 }
@@ -326,6 +331,14 @@ func TestDecisionTableIdentitySeparation(t *testing.T) {
 // for. Every decision must either agree exactly with the table-free
 // controller at the same quantum (hit or fallback alike) or be a wait taken
 // before the table; the traffic books must always balance.
+//
+// A concurrent phase then replays the same ops from parallel goroutines
+// through variants of one configuration that differ only in knobs outside
+// its model fingerprint — memo quantum and size, shared cache, table
+// quantum — or in the pruning mode, the §5.1 cap mode or the buffer cap, all
+// binding the same set: policies and tables are built and shared under
+// contention, and every variant must decide exactly like a controller with
+// a private policy (no set) solving at the same quantum.
 func FuzzDecisionTableKey(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	// Domain-edge walk under one configuration: buffer bins around the cap,
@@ -336,6 +349,17 @@ func FuzzDecisionTableKey(f *testing.F) {
 	f.Add([]byte{0x2c, 0x05, 0x6c, 0x05, 0xac, 0x05, 0xec, 0x05})
 	// Non-finite predictions and negative buffers.
 	f.Add([]byte{0x3f, 0x00, 0x7f, 0x10, 0xbf, 0x20, 0xff, 0x30, 0x3e, 0x77})
+	// Mid-domain states (buffer 25-70% of the cap, throughput 0.5-1.9x the
+	// top rung, every previous rung, steady horizon) under each combo: where
+	// quantum, cap and policy aliasing change decisions.
+	f.Add([]byte{
+		0x11, 0x70, 0x12, 0x71, 0x13, 0x72, 0x19, 0x73, 0x1a, 0x74, 0x1b, 0x75,
+		0x21, 0x76, 0x22, 0x70, 0x23, 0x71, 0x51, 0x71, 0x52, 0x72, 0x53, 0x73,
+		0x59, 0x74, 0x5a, 0x75, 0x5b, 0x76, 0x61, 0x70, 0x62, 0x71, 0x63, 0x72,
+		0x91, 0x72, 0x92, 0x73, 0x93, 0x74, 0x99, 0x75, 0x9a, 0x76, 0x9b, 0x70,
+		0xa1, 0x71, 0xa2, 0x72, 0xa3, 0x73, 0xd1, 0x73, 0xd2, 0x74, 0xd3, 0x75,
+		0xd9, 0x76, 0xda, 0x70, 0xdb, 0x71, 0xe1, 0x72, 0xe2, 0x73, 0xe3, 0x74,
+	})
 
 	type combo struct {
 		tabled, plain Config
@@ -362,11 +386,52 @@ func FuzzDecisionTableKey(f *testing.F) {
 		// Same model fingerprint as combo 0, different steady horizon.
 		mk(func(c *Config) { c.Horizon = 3 }, 0.5, video.YouTube4K(), units.Seconds(20)),
 	}
+	// The concurrent variants, all on combo 1's set and ladder (a small
+	// Mobile table keeps the extra compiles cheap).
+	cache := NewSolveCache(1 << 12)
+	base := combos[1].tabled
+	variants := []struct {
+		cfg Config
+		cap units.Seconds
+	}{
+		{base, combos[1].cap},
+		{withCfg(base, func(c *Config) { c.MemoQuantum = 0.3 }), combos[1].cap},
+		{withCfg(base, func(c *Config) { c.SolveMemoSize = 0 }), combos[1].cap},
+		{withCfg(base, func(c *Config) { c.SharedCache = cache }), combos[1].cap},
+		{withCfg(base, func(c *Config) { c.TableQuantum = 0.25 }), combos[1].cap},
+		{withCfg(base, func(c *Config) { c.DisablePruning = true }), combos[1].cap},
+		{withCfg(base, func(c *Config) { c.CapToThroughput = false }), combos[1].cap},
+		{base, units.Seconds(15)},
+	}
+	// Distinct table identities across combos and variants: the four combos,
+	// plus the variants' quantum, pruning, cap-mode and buffer-cap tables.
+	const identities = len(combos) + 4
 	// Buffer as a fraction of the cap and throughput as a fraction of the
 	// ladder top; both lists straddle their domain edge and include the
 	// illegal-side values the table must refuse, never clamp.
 	bufFrac := [8]float64{0, 0.013, 0.25, 0.45, 0.7, 0.89, 1.0, -0.02}
 	omFrac := [8]float64{0.001, 0.5, 1.0, 1.9, 2.0, 2.1, math.Inf(1), math.NaN()}
+	// decode turns two op bytes into a decision context: buffer and
+	// throughput selectors in the first; previous rung and
+	// segments-remaining (the horizon tail) in the second.
+	decode := func(b1, b2 byte, ladder video.Ladder, cap units.Seconds) func() *abr.Context {
+		buffer := units.Seconds(bufFrac[b1>>3&7] * float64(cap))
+		omega := units.Mbps(omFrac[b1&7] * float64(ladder.Max()))
+		prev := int(b2%uint8(ladder.Len()+1)) - 1
+		const total = 600
+		segment := total - 1 - int(b2>>4&7) // 1..8 segments remaining
+		return func() *abr.Context {
+			return &abr.Context{
+				Buffer:        buffer,
+				BufferCap:     cap,
+				PrevRung:      prev,
+				Ladder:        ladder,
+				SegmentIndex:  segment,
+				TotalSegments: total,
+				Predict:       func(units.Seconds) units.Mbps { return omega },
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var tabled, plain [len(combos)]*Controller
@@ -375,33 +440,17 @@ func FuzzDecisionTableKey(f *testing.F) {
 			plain[i] = New(cb.plain, cb.ladder)
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			// Two bytes per decision: configuration, buffer and throughput
-			// selectors in the first; previous rung and segments-remaining
-			// (the horizon tail) in the second.
+			// Two bytes per decision; the top two bits pick the combo.
 			b1, b2 := ops[i], ops[i+1]
 			ci := int(b1 >> 6 & 3)
 			cb := combos[ci]
-			buffer := units.Seconds(bufFrac[b1>>3&7] * float64(cb.cap))
-			omega := units.Mbps(omFrac[b1&7] * float64(cb.ladder.Max()))
-			prev := int(b2%uint8(cb.ladder.Len()+1)) - 1
-			const total = 600
-			segment := total - 1 - int(b2>>4&7) // 1..8 segments remaining
-			ctx := func() *abr.Context {
-				return &abr.Context{
-					Buffer:        buffer,
-					BufferCap:     cb.cap,
-					PrevRung:      prev,
-					Ladder:        cb.ladder,
-					SegmentIndex:  segment,
-					TotalSegments: total,
-					Predict:       func(units.Seconds) units.Mbps { return omega },
-				}
-			}
+			ctx := decode(b1, b2, cb.ladder, cb.cap)
 			before := tabled[ci].SolveStats()
 			got, want := tabled[ci].Decide(ctx()), plain[ci].Decide(ctx())
 			if got != want {
+				c := ctx()
 				t.Fatalf("op %d (combo %d, buffer %v, omega %v, prev %d, segment %d): tabled %+v != plain %+v",
-					i/2, ci, buffer, omega, prev, segment, got, want)
+					i/2, ci, c.Buffer, c.PredictSafe(units.Seconds(1)), c.PrevRung, c.SegmentIndex, got, want)
 			}
 			d := tabled[ci].SolveStats().Delta(before)
 			if d.TableLookups > 1 || d.TableHits+d.TableFallbacks != d.TableLookups {
@@ -412,12 +461,46 @@ func FuzzDecisionTableKey(f *testing.F) {
 				t.Fatalf("op %d: table hit also solved %d problems", i/2, d.Solves)
 			}
 		}
+
+		var wg sync.WaitGroup
+		for vi, v := range variants {
+			wg.Add(1)
+			go func(vi int, cfg Config, cap units.Seconds) {
+				defer wg.Done()
+				ladder := combos[1].ladder
+				shared, private := New(cfg, ladder), New(privateTwin(cfg), ladder)
+				for i := 0; i+1 < len(ops); i += 2 {
+					ctx := decode(ops[i], ops[i+1], ladder, cap)
+					if got, want := shared.Decide(ctx()), private.Decide(ctx()); got != want {
+						t.Errorf("variant %d op %d: shared-set %+v != private policy %+v", vi, i/2, got, want)
+						return
+					}
+				}
+			}(vi, v.cfg, v.cap)
+		}
+		wg.Wait()
+
 		st := tables.Stats()
 		if st.Stubs != 0 {
 			t.Fatalf("fuzz configurations must all compile, got stubs: %s", st)
 		}
-		if st.Tables > len(combos) {
-			t.Fatalf("%d tables for %d configurations (identity churn): %s", st.Tables, len(combos), st)
+		if st.Tables > identities {
+			t.Fatalf("%d tables for %d table identities (identity churn): %s", st.Tables, identities, st)
+		}
+		if n := tables.size(); n > len(combos)+len(variants) {
+			t.Fatalf("%d policies for %d identities", n, len(combos)+len(variants))
 		}
 	})
+}
+
+// privateTwin is cfg without a table set: a controller that builds its own
+// policy and solves at cfg's table quantum (the memo on, so the state is
+// quantized), with no state shared with any other controller.
+func privateTwin(cfg Config) Config {
+	cfg.MemoQuantum = cfg.tableQuantum()
+	cfg.TableQuantum, cfg.DecisionTable, cfg.SharedCache = 0, nil, nil
+	if cfg.SolveMemoSize == 0 {
+		cfg.SolveMemoSize = 1
+	}
+	return cfg
 }

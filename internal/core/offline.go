@@ -210,7 +210,8 @@ func NewCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Cos
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return newCostModel(cfg, ladder, bufferCap)
+	m := newCostModel(cfg, ladder, bufferCap)
+	return &m
 }
 
 // SequenceCost evaluates Equation 1 for a committed rung sequence under

@@ -25,6 +25,15 @@ const pruneGuard = 1e-9
 // ResetSolveStats. The counters quantify the branch-and-bound win (nodes
 // evaluated vs. the unpruned enumeration) in benchmarks and ablations.
 type SolveStats struct {
+	// TableLookups / TableHits / TableFallbacks count this controller's
+	// traffic against the fleet-wide Config.DecisionTable (consulted before
+	// the memo). A fallback is a lookup outside the table's domain that fell
+	// through to the solve pipeline; lookups = hits + fallbacks. Populated by
+	// Controller.SolveStats only. They lead the struct so that a table hit
+	// touches only the first cache line of a Controller.
+	TableLookups   uint64
+	TableHits      uint64
+	TableFallbacks uint64
 	// Solves is the number of planning problems solved.
 	Solves uint64
 	// Nodes is the number of candidate (rung, state) expansions evaluated —
@@ -44,14 +53,6 @@ type SolveStats struct {
 	// the memo counters they are populated by Controller.SolveStats only.
 	SharedLookups uint64
 	SharedHits    uint64
-	// TableLookups / TableHits / TableFallbacks count this controller's
-	// traffic against the fleet-wide Config.DecisionTable (consulted before
-	// the memo). A fallback is a lookup outside the table's domain that fell
-	// through to the solve pipeline; lookups = hits + fallbacks. Populated by
-	// Controller.SolveStats only.
-	TableLookups   uint64
-	TableHits      uint64
-	TableFallbacks uint64
 }
 
 // Add accumulates another counter snapshot into s, so harnesses can sum the
@@ -89,34 +90,26 @@ func (s SolveStats) Delta(o SolveStats) SolveStats {
 	}
 }
 
-// SolveStats returns the work counters accumulated by this model's solver.
+// SolveStats returns the work counters of Solve and the standalone searches;
+// a Controller's solves count into the Controller, never into its model.
 func (m *CostModel) SolveStats() SolveStats { return m.stats }
 
 // ResetSolveStats zeroes the work counters.
 func (m *CostModel) ResetSolveStats() { m.stats = SolveStats{} }
 
-// solveScratch is the preallocated search state reused across solves so the
-// steady-state solve path performs no allocations. Slices grow monotonically
-// to the largest horizon seen by this model.
-type solveScratch struct {
-	cur   []int           // next rung to try at each depth (the DFS cursor)
-	rung  []int           // committed rung per depth on the current path
-	stepC []float64       // cost of the committed step per depth
-	x     []units.Seconds // buffer level entering each depth; x[0] = x0
-	pref  []float64       // left-associated prefix cost of steps [0, d)
-	wsum  []units.Mbps    // suffix sums of ω̂: wsum[d] = Σ_{j>=d} omegaAt(omegas, j)
-}
+// maxPlanSteps bounds the horizon K of one solve so the search state fits a
+// fixed-size array on the solver's stack. Shipped configurations plan at most
+// 10 s / L steps; validateFor enforces the bound for controllers.
+const maxPlanSteps = 16
 
-func (s *solveScratch) ensure(k int) {
-	if len(s.cur) >= k {
-		return
-	}
-	s.cur = make([]int, k)
-	s.rung = make([]int, k)
-	s.stepC = make([]float64, k)
-	s.x = make([]units.Seconds, k+1)
-	s.pref = make([]float64, k+1)
-	s.wsum = make([]units.Mbps, k+1)
+// solveScratch is the search state of one solve, kept on the caller's stack.
+type solveScratch struct {
+	cur   [maxPlanSteps]int               // next rung to try at each depth (the DFS cursor)
+	rung  [maxPlanSteps]int               // committed rung per depth on the current path
+	stepC [maxPlanSteps]float64           // cost of the committed step per depth
+	x     [maxPlanSteps + 1]units.Seconds // buffer level entering each depth; x[0] = x0
+	pref  [maxPlanSteps + 1]float64       // left-associated prefix cost of steps [0, d)
+	wsum  [maxPlanSteps + 1]units.Mbps    // suffix sums of ω̂: wsum[d] = Σ_{j>=d} omegaAt(omegas, j)
 }
 
 // omegaAt returns the bandwidth prediction for planning step depth. A
@@ -146,14 +139,19 @@ func omegaAt(omegas []units.Mbps, depth int) units.Mbps {
 // maxRung caps every candidate (the §5.1 throughput-cap heuristic); pass
 // ladder.Len()-1 to disable. prevRung < 0 (session start) admits any first
 // rung with no switching charge, then monotonic continuations in both
-// directions.
+// directions. It counts its work into the model's own SolveStats.
 func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) solveResult {
+	var s solveScratch
+	return m.search(&m.stats, &s, omegas, x0, prevRung, k, maxRung)
+}
+
+// search is searchMonotonic with the work counters and the search state
+// supplied by the caller, so the model itself stays read-only.
+func (m *CostModel) search(st *SolveStats, s *solveScratch, omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) solveResult {
 	if k <= 0 || len(omegas) == 0 || maxRung < 0 {
 		return solveResult{rung: -1}
 	}
-	m.stats.Solves++
-	s := &m.scratch
-	s.ensure(k)
+	st.Solves++
 	// Suffix sums of the per-step predictions feed the remainder bound.
 	s.wsum[k] = 0
 	for d := k - 1; d >= 0; d-- {
@@ -163,13 +161,13 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 	if prevRung < 0 {
 		// No previous bitrate: any first rung, then monotone either way.
 		for r := 0; r <= maxRung; r++ {
-			m.stats.Nodes++
+			st.Nodes++
 			c, x1, ok := m.stepCost(r, -1, x0, omegaAt(omegas, 0))
 			if !ok {
 				continue
 			}
 			if k == 1 {
-				m.stats.Leaves++
+				st.Leaves++
 				if c < best.obj {
 					best = solveResult{rung: r, obj: c}
 				}
@@ -179,13 +177,13 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 			// the full rung range [0, maxRung].
 			if !m.noPrune && best.rung >= 0 &&
 				c+m.rateMin[maxRung]*float64(s.wsum[1]) >= best.obj+pruneGuard {
-				m.stats.Pruned++
+				st.Pruned++
 				continue
 			}
 			s.rung[0], s.stepC[0] = r, c
 			s.x[1], s.pref[1] = x1, c
-			m.searchDirBB(omegas, prevRung, 1, k, maxRung, +1, math.Inf(1), &best)
-			m.searchDirBB(omegas, prevRung, 1, k, maxRung, -1, math.Inf(1), &best)
+			m.searchDirBB(st, s, omegas, prevRung, 1, k, maxRung, +1, math.Inf(1), &best)
+			m.searchDirBB(st, s, omegas, prevRung, 1, k, maxRung, -1, math.Inf(1), &best)
 		}
 		return best
 	}
@@ -198,7 +196,7 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 	if !m.noPrune && prevRung <= maxRung {
 		total, x := 0.0, x0
 		for d := 0; d < k; d++ {
-			m.stats.Nodes++
+			st.Nodes++
 			c, x1, ok := m.stepCost(prevRung, prevRung, x, omegaAt(omegas, d))
 			if !ok {
 				total = math.Inf(1)
@@ -210,8 +208,8 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 		seed = total
 	}
 	s.x[0], s.pref[0] = x0, 0
-	m.searchDirBB(omegas, prevRung, 0, k, maxRung, +1, seed, &best)
-	m.searchDirBB(omegas, prevRung, 0, k, maxRung, -1, seed, &best)
+	m.searchDirBB(st, s, omegas, prevRung, 0, k, maxRung, +1, seed, &best)
+	m.searchDirBB(st, s, omegas, prevRung, 0, k, maxRung, -1, seed, &best)
 	return best
 }
 
@@ -253,8 +251,7 @@ func (m *CostModel) remainderBound(r, maxRung, dir int, wsumRest units.Mbps) flo
 // upper bound on the optimal objective used only to tighten pruning (the
 // flat-plan cost, or +Inf); the incumbent itself is updated exclusively from
 // evaluated leaves so ties resolve in reference order.
-func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, maxRung, dir int, seed float64, best *solveResult) {
-	s := &m.scratch
+func (m *CostModel) searchDirBB(st *SolveStats, s *solveScratch, omegas []units.Mbps, basePrev, startDepth, k, maxRung, dir int, seed float64, best *solveResult) {
 	prune := !m.noPrune
 	d := startDepth
 	prev := basePrev
@@ -293,12 +290,12 @@ func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, ma
 			opt += m.gamma * dv * dv
 			opt += m.remainderBound(r, maxRung, dir, s.wsum[d+1])
 			if opt >= limit+pruneGuard {
-				m.stats.Pruned++
+				st.Pruned++
 				s.cur[d]++
 				continue
 			}
 		}
-		m.stats.Nodes++
+		st.Nodes++
 		c, x1, ok := m.stepCost(r, prev, s.x[d], omegaAt(omegas, d))
 		if !ok {
 			s.cur[d]++
@@ -306,7 +303,7 @@ func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, ma
 		}
 		pref := s.pref[d] + c
 		if prune && pref+m.remainderBound(r, maxRung, dir, s.wsum[d+1]) >= limit+pruneGuard {
-			m.stats.Pruned++
+			st.Pruned++
 			s.cur[d]++
 			continue
 		}
@@ -314,7 +311,7 @@ func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, ma
 		if d == k-1 {
 			// Complete plan: score it with the right-associated sum the
 			// recursive reference produces, so ties break identically.
-			m.stats.Leaves++
+			st.Leaves++
 			total := 0.0
 			for i := k - 1; i >= 0; i-- {
 				total = s.stepC[i] + total
@@ -336,7 +333,10 @@ func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, ma
 // reports the committed first rung, its objective, and whether any monotone
 // plan was feasible. It is the exported entry point for benchmarks and
 // downstream tools; the controller's Decide wraps it with the §5.1 cap,
-// horizon fallback, and the decision memo.
+// horizon fallback, and the decision memo. k must not exceed 16 steps (a
+// longer horizon panics out of the fixed-size search state). Solve
+// counts into the model's SolveStats, so a model is not safe for concurrent
+// Solve calls.
 func (m *CostModel) Solve(omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) (rung int, obj float64, ok bool) {
 	res := m.searchMonotonic(omegas, x0, prevRung, k, maxRung)
 	return res.rung, res.obj, res.rung >= 0

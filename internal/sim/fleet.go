@@ -108,29 +108,38 @@ const (
 	noSession  = ^uint32(0)
 )
 
-// wheel is one worker's hierarchical time-wheel. Buckets chain sessions
+// wheel is one worker's hierarchical time-wheel over the sessions of its
+// arena shard, addressed by local index (arena.At). Buckets chain sessions
 // intrusively through their arena State.Next links, so scheduling allocates
 // nothing; State.DueTick disambiguates bucket collisions on expiry.
 type wheel struct {
-	now uint32 // current tick
-	l0  [wheelSlots]uint32
-	l1  [wheelSlots]uint32
+	now   uint32 // current tick
+	ar    *arena.Arena
+	shard int
+	l0    [wheelSlots]uint32
+	l1    [wheelSlots]uint32
 }
 
-func (w *wheel) init() {
+func (w *wheel) init(ar *arena.Arena, shard int) {
+	w.ar, w.shard = ar, shard
 	for i := range w.l0 {
 		w.l0[i] = noSession
 		w.l1[i] = noSession
 	}
 }
 
-// schedule parks session `local` to fire at absolute tick `due` (clamped to
-// the future — the wheel cannot fire in the past).
-func (w *wheel) schedule(states []*arena.State, local uint32, due uint32) {
+// state resolves session `local`'s player state in the wheel's shard.
+func (w *wheel) state(local uint32) *arena.State {
+	_, st, _ := w.ar.At(w.shard, local)
+	return st
+}
+
+// schedule parks session `local`, whose state is st, to fire at absolute
+// tick `due` (clamped to the future — the wheel cannot fire in the past).
+func (w *wheel) schedule(st *arena.State, local uint32, due uint32) {
 	if due <= w.now {
 		due = w.now + 1
 	}
-	st := states[local]
 	st.DueTick = due
 	var bucket *uint32
 	if due-w.now < wheelSlots {
@@ -144,7 +153,7 @@ func (w *wheel) schedule(states []*arena.State, local uint32, due uint32) {
 
 // advance runs the wheel forward to absolute tick `to`, invoking fire for
 // every due session at its due tick. fire may (and does) reschedule.
-func (w *wheel) advance(states []*arena.State, to uint32, fire func(local uint32, tick uint32)) {
+func (w *wheel) advance(to uint32, fire func(local uint32, tick uint32)) {
 	for w.now < to {
 		w.now++
 		tick := w.now
@@ -158,12 +167,12 @@ func (w *wheel) advance(states []*arena.State, to uint32, fire func(local uint32
 			chain := w.l1[slot]
 			w.l1[slot] = noSession
 			for chain != noSession {
-				st := states[chain]
+				st := w.state(chain)
 				next := st.Next
 				if st.DueTick == tick {
 					fire(chain, tick)
 				} else {
-					w.schedule(states, chain, st.DueTick)
+					w.schedule(st, chain, st.DueTick)
 				}
 				chain = next
 			}
@@ -171,13 +180,13 @@ func (w *wheel) advance(states []*arena.State, to uint32, fire func(local uint32
 		chain := w.l0[tick&wheelMask]
 		w.l0[tick&wheelMask] = noSession
 		for chain != noSession {
-			st := states[chain]
+			st := w.state(chain)
 			next := st.Next
 			if st.DueTick == tick {
 				fire(chain, tick)
 			} else {
 				// Bucket collision from a cascade: not due yet, re-park.
-				w.schedule(states, chain, st.DueTick)
+				w.schedule(st, chain, st.DueTick)
 			}
 			chain = next
 		}
@@ -193,21 +202,21 @@ type constPredictor struct{ omega units.Mbps }
 func (p *constPredictor) predict(units.Seconds) units.Mbps { return p.omega }
 
 // fleetWorker owns one arena shard of sessions and drives their wheel.
-// Controller and state pointers are resolved from the arena once at setup —
-// the shard-ownership contract makes them stable for the cohort's lifetime —
-// so the per-decision path is array indexing, not handle validation.
+// Its n sessions fill slots [0, n) of the shard densely and stay live for
+// the cohort's lifetime, so under the shard-ownership contract a session's
+// local index is its arena slot: the per-decision path resolves controller,
+// state and watch with one arena.At, not handle validation or a pointer
+// table per session.
 type fleetWorker struct {
-	f       *Fleet
-	shard   int
-	base    int // global index of this worker's first session
-	ctrls   []*core.Controller
-	states  []*arena.State
-	recs    []*telemetry.SessionRecorder
-	watches []*flightrec.SessionWatch
-	wheel   wheel
-	ctx     abr.Context
-	pred    constPredictor
-	fireFn  func(local uint32, tick uint32) // w.fire, bound once at setup
+	f      *Fleet
+	shard  int
+	base   int // global index of this worker's first session
+	n      int // sessions in this worker's shard
+	recs   []*telemetry.SessionRecorder
+	wheel  wheel
+	ctx    abr.Context
+	pred   constPredictor
+	fireFn func(local uint32, tick uint32) // w.fire, bound once at setup
 
 	decisions uint64
 	waits     uint64
@@ -307,19 +316,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			n++
 		}
 		w := &fleetWorker{
-			f:      f,
-			shard:  wi,
-			base:   next,
-			ctrls:  make([]*core.Controller, n),
-			states: make([]*arena.State, n),
-			cmd:    make(chan uint32),
+			f:     f,
+			shard: wi,
+			base:  next,
+			n:     n,
+			cmd:   make(chan uint32),
 		}
-		w.wheel.init()
+		w.wheel.init(f.arena, wi)
 		if cfg.Telemetry != nil {
 			w.recs = make([]*telemetry.SessionRecorder, n)
-		}
-		if cfg.Watchdog != nil {
-			w.watches = make([]*flightrec.SessionWatch, n)
 		}
 		for local := 0; local < n; local++ {
 			global := next + local
@@ -327,34 +332,23 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			if !ok {
 				return nil, fmt.Errorf("sim: fleet arena exhausted at session %d", global)
 			}
-			ctrl, st, ok := f.arena.Session(h)
-			if !ok {
-				return nil, fmt.Errorf("sim: fleet handle stale at session %d", global)
+			if h.Index() != uint32(local) {
+				return nil, fmt.Errorf("sim: fleet session %d landed in slot %d of a fresh shard", global, h.Index())
 			}
+			ctrl, st, _ := f.arena.At(wi, uint32(local))
 			ctrl.Init(ctrlCfg, cfg.Ladder)
-			// Bind the cost model, table and solver scratch now: these are
-			// Decide's only lazy allocations, and paying them at setup keeps
-			// the steady event path allocation-free from the first fire.
+			// Bind the policy for this cap now — Decide's only lazy
+			// allocation — so the steady event path is allocation-free from
+			// the first fire. Sessions sharing the cohort's table set share
+			// one policy, so only the first session builds it.
 			ctrl.Prewarm(cfg.BufferCap)
 			f.pool.Seat(st, global)
-			w.ctrls[local] = ctrl
-			w.states[local] = st
 			if cfg.Telemetry != nil {
 				rec := cfg.Telemetry.StartSession(global)
 				f.arena.SetRecorder(h, rec)
 				w.recs[local] = rec
 			}
-			if cfg.Watchdog != nil {
-				// Detector state lives in the arena slot, resolved once
-				// here under the same shard-ownership contract as ctrls
-				// and states.
-				watch, ok := f.arena.Watch(h)
-				if !ok {
-					return nil, fmt.Errorf("sim: fleet watch slot stale at session %d", global)
-				}
-				w.watches[local] = watch
-			}
-			w.wheel.schedule(w.states, uint32(local), 1+uint32(global)%ticksPerSegment)
+			w.wheel.schedule(st, uint32(local), 1+uint32(global)%ticksPerSegment)
 		}
 		// ctx invariants are set once; Predict binds the reusable
 		// constant predictor's method value here, not per decision.
@@ -377,7 +371,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // the worker.
 func (w *fleetWorker) run() {
 	for target := range w.cmd {
-		w.wheel.advance(w.states, target, w.fireFn)
+		w.wheel.advance(target, w.fireFn)
 		w.f.barrier.Done()
 	}
 }
@@ -389,7 +383,7 @@ func (w *fleetWorker) run() {
 //
 //soda:noalloc
 func (w *fleetWorker) fire(local uint32, tick uint32) {
-	st := w.states[local]
+	ctrl, st, watch := w.f.arena.At(w.shard, local)
 	omega := w.f.pool.Next(st)
 
 	w.pred.omega = omega
@@ -399,7 +393,7 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 	w.ctx.SegmentIndex = int(st.Segment)
 	w.ctx.LastThroughput = omega
 
-	decision := w.ctrls[local].Decide(&w.ctx)
+	decision := ctrl.Decide(&w.ctx)
 	w.decisions++
 
 	rung := abr.NoRung
@@ -431,13 +425,13 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 			rec.Commit()
 		}
 	}
-	if w.watches != nil {
-		w.f.cfg.Watchdog.Observe(w.watches[local], int32(w.base)+int32(local),
+	if w.f.cfg.Watchdog != nil {
+		w.f.cfg.Watchdog.Observe(watch, int32(w.base)+int32(local),
 			w.ctx.Now, w.ctx.Buffer, int16(rung), int16(w.ctx.PrevRung))
 	}
 
 	due := tick + uint32(float64(dt)/float64(w.f.cfg.TickSeconds)+0.999999)
-	w.wheel.schedule(w.states, local, due)
+	w.wheel.schedule(st, local, due)
 }
 
 // Advance runs the whole cohort forward by window of simulated time, all
@@ -491,9 +485,9 @@ func (f *Fleet) Session(i int) (*core.Controller, *arena.State, bool) {
 		return nil, nil, false
 	}
 	for _, w := range f.workers {
-		if i < w.base+len(w.states) {
-			local := i - w.base
-			return w.ctrls[local], w.states[local], true
+		if i < w.base+w.n {
+			ctrl, st, _ := f.arena.At(w.shard, uint32(i-w.base))
+			return ctrl, st, true
 		}
 	}
 	return nil, nil, false
@@ -513,8 +507,8 @@ func (f *Fleet) Close() {
 				if rec == nil {
 					continue
 				}
-				st := w.states[local]
-				s := w.ctrls[local].SolveStats()
+				ctrl, st, _ := f.arena.At(w.shard, uint32(local))
+				s := ctrl.SolveStats()
 				rec.Finish(&s, int(st.Segment), st.Stall)
 			}
 		}

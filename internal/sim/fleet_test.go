@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/abr"
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/predictor"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -216,26 +218,56 @@ func TestFleetTelemetry(t *testing.T) {
 	f.Advance(units.Seconds(5))
 }
 
+// TestFleetHeapPerSession pins the cohort's memory: every session shares the
+// cohort's one policy and lives in its arena slot — two controller cache
+// lines, the player state and the watchdog state — with no per-session
+// controller heap objects and no per-session pointer tables in the workers.
+func TestFleetHeapPerSession(t *testing.T) {
+	const sessions = 20000
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	f, err := NewFleet(FleetConfig{
+		Sessions: sessions,
+		Workers:  2,
+		Ladder:   video.Mobile(),
+		Profile:  tracegen.FourG(),
+		Seed:     1,
+		Watchdog: flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	perSession := float64(heap()-before) / sessions
+	runtime.KeepAlive(f)
+	if perSession > 300 {
+		t.Fatalf("fleet holds %.1f B per session, want <= 300", perSession)
+	}
+	t.Logf("%.1f B per session", perSession)
+}
+
 // TestWheelLongHorizons drives the wheel directly: events beyond the inner
 // span cascade from the outer wheel, and events beyond even the outer span
 // lap it and still fire at their exact tick.
 func TestWheelLongHorizons(t *testing.T) {
 	a := arena.New(1, 0)
 	const n = 5
-	states := make([]*arena.State, n)
-	for i := range states {
-		h, _ := a.Alloc(0)
-		_, st, _ := a.Session(h)
-		states[i] = st
+	for i := 0; i < n; i++ {
+		a.Alloc(0) // dense: the i-th Alloc is slot i
 	}
 	var w wheel
-	w.init()
+	w.init(a, 0)
 	due := []uint32{3, wheelSlots + 7, 3 * wheelSlots, wheelSlots*wheelSlots + 13, 2*wheelSlots*wheelSlots + 1}
 	for i, d := range due {
-		w.schedule(states, uint32(i), d)
+		w.schedule(w.state(uint32(i)), uint32(i), d)
 	}
 	fired := map[uint32]uint32{}
-	w.advance(states, 2*wheelSlots*wheelSlots+wheelSlots, func(local, tick uint32) {
+	w.advance(2*wheelSlots*wheelSlots+wheelSlots, func(local, tick uint32) {
 		if _, dup := fired[local]; dup {
 			t.Fatalf("session %d fired twice", local)
 		}
@@ -247,9 +279,9 @@ func TestWheelLongHorizons(t *testing.T) {
 		}
 	}
 	// Past-due scheduling clamps to the next tick instead of never firing.
-	w.schedule(states, 0, 1)
+	w.schedule(w.state(0), 0, 1)
 	var clamped uint32
-	w.advance(states, w.now+2, func(local, tick uint32) { clamped = tick })
+	w.advance(w.now+2, func(local, tick uint32) { clamped = tick })
 	if clamped == 0 {
 		t.Fatal("past-due event never fired")
 	}
