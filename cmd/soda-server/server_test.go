@@ -85,14 +85,22 @@ func TestServerEndpointSmoke(t *testing.T) {
 		t.Fatalf("distinct session keys share id %d", ids["alice"])
 	}
 
-	// A third session at in-domain throughput: the Prototype ladder tops out
-	// near 2 Mb/s, so the 12 Mb/s sessions above land outside the compiled
-	// table's domain (fallbacks) while this one lands inside it (hits). Both
-	// counters must end up nonzero below.
-	for i := 0; i < 8; i++ {
-		resp, body := get(fmt.Sprintf("/decide?session=carol&buffer=%g&throughput=1.5", 2.0+float64(i)))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/decide: status %d: %s", resp.StatusCode, body)
+	// Two more sessions on either side of the table's domain. The Prototype
+	// ladder tops out at 2 Mb/s, so at the 20 s default cap the table
+	// compiles predictions up to 4 Mb/s at bind and covers them up to the
+	// 22 Mb/s overflow edge: the 12 Mb/s sessions above filled cells past the
+	// compiled box on first touch, dave's 30 Mb/s lies past the edge
+	// (fallbacks to the solver) and carol's 1.5 Mb/s, last, lands in the box
+	// (hits). Both counters must end up nonzero below.
+	for _, sess := range []struct {
+		name       string
+		throughput float64
+	}{{"dave", 30}, {"carol", 1.5}} {
+		for i := 0; i < 8; i++ {
+			resp, body := get(fmt.Sprintf("/decide?session=%s&buffer=%g&throughput=%g", sess.name, 2.0+float64(i), sess.throughput))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/decide: status %d: %s", resp.StatusCode, body)
+			}
 		}
 	}
 
@@ -137,8 +145,8 @@ func TestServerEndpointSmoke(t *testing.T) {
 		}
 	}
 
-	// The table counters must reflect the traffic above: the in-domain
-	// session hit the table, the over-the-top sessions fell back, and the
+	// The table counters must reflect the traffic above: the in-box session
+	// hit the table, the session past the overflow edge fell back, and the
 	// scrape hook published the resident table set.
 	metric := func(name string) float64 {
 		t.Helper()
@@ -242,8 +250,8 @@ func TestServerEndpointSmoke(t *testing.T) {
 		}
 		spanLines++
 	}
-	if spanLines != 24 {
-		t.Errorf("/debug/spans?stage=decide returned %d spans, want 24", spanLines)
+	if spanLines != 32 {
+		t.Errorf("/debug/spans?stage=decide returned %d spans, want 32", spanLines)
 	}
 	if resp, _ := get("/debug/spans?stage=bogus"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad stage: status %d, want 400", resp.StatusCode)

@@ -104,29 +104,42 @@ func SharedStateConformance(t *testing.T, name string, plain, shared Factory) {
 // tables (core.DecisionTables) against the bit-identity contract: for every
 // registered ladder, instances built by `tabled` must reproduce the decision
 // sequences of instances built by `plain` exactly — while the table is cold
-// and compiled under concurrent racing instances, again once it is warm, and
-// serially. The factories must solve at the same quantum (the table's
-// TableQuantum equal to the plain controller's MemoQuantum), because the
-// contract is bit-identity at the table's quantum, not across quanta. The
-// concurrent passes repeat under several GOMAXPROCS settings; run with -race
-// to also prove table compilation and binding are correctly synchronised.
+// and compiled and filled under concurrent racing instances, again once it
+// is warm, and serially. The factories must solve at the same quantum (the
+// table's TableQuantum equal to the plain controller's MemoQuantum), because
+// the contract is bit-identity at the table's quantum, not across quanta.
+// The concurrent passes repeat under several GOMAXPROCS settings; run with
+// -race to also prove table compilation, binding and cell fills are
+// correctly synchronised.
+//
+// Each ladder starts with a cold pass: GOMAXPROCS goroutines, released at
+// once, replay one table stream — predictions drawn over [0, 1.2 W], W the
+// table's overflow edge — through fresh instances, so they compile the table
+// together and first-touch the same empty cells past its compiled box at the
+// same time. The tabled factory's set must not have served the ladder
+// before, and the pass must record more fallbacks than the same stream does
+// once warm: the fills happened, and no cell was left empty or filled wrong.
 //
 // The serial pass additionally audits the table traffic through SolveStats:
 // lookups must equal hits plus fallbacks, and both hits and fallbacks must
-// occur — the context streams cover in-domain states and (via throughputs
-// beyond 2x the smaller ladders' top rung and session-tail horizons)
-// out-of-domain states, so a table that never hits or a domain check that
-// clamps instead of falling back both fail loudly.
+// occur — the streams cover in-domain states and out-of-domain ones (the
+// table stream's draws past W and the session-tail horizons every stream
+// ends with), so a table that never hits or a domain check that clamps
+// instead of falling back both fail loudly.
 func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 	t.Helper()
 	for _, nl := range video.NamedLadders() {
 		nl := nl
 		t.Run(name+"/table-bit-identical/"+nl.Name, func(t *testing.T) {
 			const sessions, steps = 6, 80
-			streams := make([][]*abr.Context, sessions)
-			want := make([][]int, sessions)
-			for i := range streams {
+			streams := make([][]*abr.Context, sessions+1)
+			want := make([][]int, len(streams))
+			for i := 0; i < sessions; i++ {
 				streams[i] = contextStream(nl.Ladder, 5000+uint64(i)*19, steps)
+			}
+			tableStream := tableContextStream(nl.Ladder, 6000, steps)
+			streams[sessions] = tableStream
+			for i := range streams {
 				want[i] = replay(plain(nl.Ladder), streams[i])
 			}
 			check := func(pass string, got [][]int) {
@@ -140,8 +153,9 @@ func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 					}
 				}
 			}
+			coldFallbacks, racers := coldTouch(t, tabled, nl.Ladder, tableStream, want[sessions])
 			concurrent := func() [][]int {
-				got := make([][]int, sessions)
+				got := make([][]int, len(streams))
 				var wg sync.WaitGroup
 				for i := range streams {
 					wg.Add(1)
@@ -161,13 +175,17 @@ func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 				check("warm concurrent", concurrent())
 			}
 			runtime.GOMAXPROCS(prev)
-			serial := make([][]int, sessions)
+			serial := make([][]int, len(streams))
 			var traffic core.SolveStats
+			var warmTableStream uint64
 			for i := range streams {
 				c := tabled(nl.Ladder)
 				serial[i] = replay(c, streams[i])
 				if sc, ok := c.(interface{ SolveStats() core.SolveStats }); ok {
 					traffic.Add(sc.SolveStats())
+					if i == sessions {
+						warmTableStream = sc.SolveStats().TableFallbacks
+					}
 				}
 			}
 			check("warm serial", serial)
@@ -184,8 +202,50 @@ func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 			if traffic.TableFallbacks == 0 {
 				t.Fatal("no table fallbacks: the stream never left the domain, so the fallback path went unchecked")
 			}
+			if coldFallbacks <= uint64(racers)*warmTableStream {
+				t.Fatalf("cold pass: %d racers took %d fallbacks, no more than %d each once warm: no cell was filled",
+					racers, coldFallbacks, warmTableStream)
+			}
 		})
 	}
+}
+
+// coldTouch is TableConformance's cold pass: max(GOMAXPROCS, 2) goroutines,
+// each with its own fresh instance, wait on one barrier and then replay the
+// same stream, so the first touches of every empty cell race. Each replay
+// must match want. It returns the racers' total table fallbacks and their
+// count.
+func coldTouch(t *testing.T, tabled Factory, ladder video.Ladder, stream []*abr.Context, want []int) (uint64, int) {
+	t.Helper()
+	ctrls := make([]abr.Controller, max(runtime.GOMAXPROCS(0), 2))
+	for i := range ctrls {
+		ctrls[i] = tabled(ladder)
+	}
+	got := make([][]int, len(ctrls))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range ctrls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = replay(ctrls[i], stream)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	var fallbacks uint64
+	for i, c := range ctrls {
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("cold pass: racer %d decision %d: tabled %d != plain %d", i, j, got[i][j], want[j])
+			}
+		}
+		if sc, ok := c.(interface{ SolveStats() core.SolveStats }); ok {
+			fallbacks += sc.SolveStats().TableFallbacks
+		}
+	}
+	return fallbacks, len(ctrls)
 }
 
 // ArenaFactory builds a controller whose state lives in an externally owned
@@ -356,6 +416,23 @@ func contextStream(ladder video.Ladder, seed uint64, n int) []*abr.Context {
 			Predict:        func(units.Seconds) units.Mbps { return omega },
 		}
 		prev = rng.IntN(ladder.Len())
+	}
+	return out
+}
+
+// tableContextStream is contextStream with predictions drawn over
+// [0, 1.2 W], W the ladder's table overflow edge r_top·(cap+L)/L at the
+// stream's 20 s cap: it crosses the compiled box at 2x the top rung, fills
+// cells past it, and leaves the domain on about one draw in six.
+func tableContextStream(ladder video.Ladder, seed uint64, n int) []*abr.Context {
+	const bufferCap = 20
+	edge := float64(ladder.Max()) * (bufferCap + float64(ladder.SegmentSeconds)) / float64(ladder.SegmentSeconds)
+	rng := rand.New(rand.NewPCG(seed, 23))
+	out := contextStream(ladder, seed, n)
+	for _, ctx := range out {
+		omega := units.Mbps(rng.Float64() * 1.2 * edge)
+		ctx.LastThroughput = omega
+		ctx.Predict = func(units.Seconds) units.Mbps { return omega }
 	}
 	return out
 }

@@ -14,11 +14,12 @@ import (
 // Policy is the immutable decision policy of one identity (config, ladder,
 // buffer cap): everything a decision reads besides its context — cost model,
 // fingerprint, steady horizon, quantum and bound decision table. Nothing in
-// it is written after newPolicy returns, so controllers share one freely:
-// those on a DecisionTables set share the set's Policy for their identity; a
-// controller without a set builds a private one on first use. The state is
-// quantized whenever a memo or a table can replay a decision, so a replayed
-// decision is a pure function of its key (see Config.MemoQuantum).
+// it is written after newPolicy returns except the table's empty cells, each
+// filled once with a pure function of its key, so controllers share one
+// freely: those on a DecisionTables set share the set's Policy for their
+// identity; a controller without a set builds a private one on first use. The
+// state is quantized whenever a memo or a table can replay a decision, so a
+// replayed decision is a pure function of its key (see Config.MemoQuantum).
 type Policy struct {
 	cap    units.Seconds
 	tq     float64 // quantization step of the solved state; 0 solves exact states
@@ -295,17 +296,23 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	}
 
 	// Compiled-table fast path: for in-domain states the committed decision
-	// was precomputed by the identical solver path at this exact quantized
-	// state, so the lookup is the whole decision. Out-of-domain states fall
-	// through to the memo/shared-cache/solver pipeline on the same quantized
-	// values — the fallback is literally the table-free path.
+	// was solved by the identical solver path at this exact quantized state,
+	// so the lookup is the whole decision. An in-domain cell not yet solved
+	// is solved and published here, once for every session of the table.
+	// Out-of-domain states fall through to the memo/shared-cache/solver
+	// pipeline on the same quantized values — the fallback is literally the
+	// table-free path.
 	if p.table != nil {
 		c.stats.TableLookups++
-		if r, ok := p.table.lookup(x0, omega, ctx.PrevRung, k); ok {
+		r, cell := p.table.lookup(x0, omega, ctx.PrevRung, k)
+		if r >= 0 {
 			c.stats.TableHits++
 			return abr.Decision{Rung: r}
 		}
 		c.stats.TableFallbacks++
+		if cell >= 0 {
+			return abr.Decision{Rung: p.table.fill(p, &c.stats, cell)}
+		}
 	}
 
 	// fill is this state's memo slot content, less the rung.

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/units"
 	"repro/internal/video"
@@ -28,11 +30,20 @@ import (
 // the keying at domain edges and under concurrent binding.
 //
 // Domain and fallback. A table covers buffer in [0, cap] and predicted
-// throughput in [0, 2x the ladder's top rung] at its quantum, for the
-// steady-state horizon only. Any state outside that box — session-tail
-// horizons, out-of-range or non-finite predictions — falls through to the
-// ordinary memo/shared-cache/solver path untouched; states are never clamped
-// into the table. Oversized geometries compile to a fallback-only stub.
+// throughput in [0, W] at its quantum, for the steady-state horizon only. W
+// is the overflow edge r_top·(cap+L)/L (see overflowEdge): at or above it
+// even the top rung fills an empty buffer past the cap within one segment
+// interval, so the edge follows from the policy and is not a knob. The
+// [0, 2x top rung] part of the throughput axis, where fleet predictions
+// concentrate, is compiled when the table is bound; cells past it start
+// empty and are filled on first touch by the same solver call (a lookup
+// that finds its cell empty counts as a fallback). Cells are bytes packed
+// into atomic words, and a cell is a pure function of its key, so racing
+// fills publish the same byte. Any state outside the domain — session-tail
+// horizons, predictions past W, non-finite predictions — falls through to
+// the ordinary memo/shared-cache/solver path untouched; states are never
+// clamped into the table. Oversized geometries compile to a fallback-only
+// stub.
 //
 // Budget. A set holds at most its budget of policies. A binding past it gets
 // a private policy with a stub table and leaves the set as it is, so identity
@@ -45,10 +56,12 @@ import (
 type DecisionTables struct {
 	mu sync.Mutex
 	//soda:guard mu
-	policies  []*Policy
+	policies []*Policy
+	//soda:guard mu
+	tables    []*decisionTable // the compiled tables, each once
 	maxTables int
 	//soda:guard mu
-	stats TableStats // Tables is the compiled count
+	stats TableStats // Stubs and CompileSolves; Stats derives the rest
 }
 
 // DefaultMaxTables bounds how many policies (and so compiled tables) one set
@@ -61,11 +74,23 @@ const DefaultMaxTables = 64
 // table is ~8 MB). Geometries above it become fallback-only stubs.
 const maxTableCells = 1 << 23
 
-// tableThroughputSpan is the throughput domain's multiple of the ladder's
-// top rung. Above the top rung the §5.1 cap pins the candidate set, but the
-// buffer dynamics keep changing with the prediction, so the domain extends to
-// 2x and everything beyond falls back to the solver (never clamped).
+// tableThroughputSpan is the multiple of the ladder's top rung up to which
+// the throughput axis is compiled when a table is bound. Fleet predictions
+// concentrate below it, so the first decisions hit a compiled cell; the rest
+// of the domain, up to the overflow edge, fills on first touch. Compiling
+// the whole domain eagerly would cost the bind several times as many solves
+// for cells most tables never read.
 const tableThroughputSpan = 2.0
+
+// overflowEdge is the top of a table's throughput domain, r_top·(cap+L)/L:
+// one segment interval L of downloading the top rung at this prediction adds
+// cap+L seconds of video, so even an empty buffer overflows the cap. Past it
+// every rung refills the buffer to the cap on every step, whatever the
+// buffer level, and such predictions are rare enough to leave to the solver.
+func overflowEdge(ladder video.Ladder, bufferCap units.Seconds) units.Mbps {
+	l := float64(ladder.SegmentSeconds)
+	return ladder.Max().Scale((float64(bufferCap) + l) / l)
+}
 
 // NewDecisionTables builds an empty set with the default budget.
 func NewDecisionTables() *DecisionTables {
@@ -83,17 +108,20 @@ func NewDecisionTablesSized(maxTables int) *DecisionTables {
 	return &DecisionTables{maxTables: maxTables}
 }
 
-// decisionTable is one immutable compiled table. rungs holds the committed
-// first decision for every (prev+1, buffer bin, throughput bin) cell; a stub
-// has no cells and answers every lookup with a fallback.
+// decisionTable is one compiled table: a fixed geometry over (prev+1, buffer
+// bin, throughput bin) cells, each holding the committed first decision plus
+// one, or 0 while still empty. Four cells pack into one atomic word. Only
+// the cells change after compile, each once, from empty to its one value; a
+// stub has no cells and answers every lookup with a fallback.
 type decisionTable struct {
 	fp      uint64
 	quantum float64
 	k       int32
 	xBins   int32
-	wBins   int32
+	wBins   int32 // the whole throughput domain, [0, overflow edge]
+	boxBins int32 // the part compiled at bind, [0, tableThroughputSpan x top]
 	planes  int32
-	rungs   []int8
+	cells   []atomic.Uint32
 	stub    bool
 }
 
@@ -168,8 +196,7 @@ func (s *DecisionTables) policy(cfg Config, ladder video.Ladder, bufferCap units
 		if table.planGeometry(ladder, bufferCap) {
 			s.stats.CompileSolves += table.compile(p)
 			table.stub = false
-			s.stats.Tables++
-			s.stats.Cells += len(table.rungs)
+			s.tables = append(s.tables, table)
 		} else {
 			s.stats.Stubs++
 		}
@@ -194,82 +221,115 @@ func (s *DecisionTables) anyPolicy(cfg Config, ladder video.Ladder) *Policy {
 
 // planGeometry derives the grid from the ladder and buffer cap, reporting
 // whether the table is compilable: a finite positive cap, a ladder that fits
-// the 1-byte cell encoding, and a cell count within maxTableCells.
+// the 1-byte cell encoding, and a compiled box within maxTableCells. The
+// throughput axis runs to the overflow edge, clamped so the whole grid stays
+// within maxTableCells but never below the compiled box.
 func (t *decisionTable) planGeometry(ladder video.Ladder, bufferCap units.Seconds) bool {
 	cap64 := float64(bufferCap)
-	if !(cap64 > 0) || math.IsInf(cap64, 0) || ladder.Len() == 0 || ladder.Len() > 127 {
+	if !(cap64 > 0) || math.IsInf(cap64, 0) || ladder.Len() == 0 || ladder.Len() > math.MaxUint8 {
 		return false
 	}
 	xBins := math.Round(cap64/t.quantum) + 1
-	wBins := math.Ceil(tableThroughputSpan*float64(ladder.Max())/t.quantum) + 1
+	boxBins := math.Ceil(tableThroughputSpan*float64(ladder.Max())/t.quantum) + 1
 	planes := float64(ladder.Len() + 1) // prev in {NoRung, 0, ..., len-1}
-	if !(xBins >= 1) || !(wBins >= 1) || xBins*wBins*planes > maxTableCells {
+	if !(xBins >= 1) || !(boxBins >= 1) || xBins*boxBins*planes > maxTableCells {
 		return false
 	}
-	t.xBins, t.wBins, t.planes = int32(xBins), int32(wBins), int32(planes)
+	wBins := min(math.Ceil(float64(overflowEdge(ladder, bufferCap))/t.quantum)+1,
+		math.Floor(maxTableCells/(xBins*planes)))
+	if !(wBins > boxBins) { // NaN included
+		wBins = boxBins
+	}
+	t.xBins, t.wBins, t.boxBins, t.planes = int32(xBins), int32(wBins), int32(boxBins), int32(planes)
 	return true
 }
 
-// compile fills every cell with the decision the solver commits at that
-// cell's exact quantized state, mirroring Decide's solver path bit for bit:
-// the policy's cost model, the same quantized values (bin index times quantum
-// — the identical expression quantize produces), the same §5.1 throughput
-// cap, the same receding-horizon infeasibility fallback (solveFirstRung). It
-// returns the number of planning problems solved, counted apart from any
-// controller's SolveStats.
+// compile fills the box of cells compiled at bind — every plane and buffer
+// bin, throughput up to tableThroughputSpan x the top rung — and leaves the
+// rest of the domain empty. It returns the number of planning problems
+// solved, counted apart from any controller's SolveStats.
 func (t *decisionTable) compile(p *Policy) uint64 {
 	var st SolveStats
-	n := p.ladder.Len()
-	t.rungs = make([]int8, int(t.planes)*int(t.xBins)*int(t.wBins))
-	idx := 0
-	for prev := -1; prev < n; prev++ {
-		for xi := int32(0); xi < t.xBins; xi++ {
-			x0 := units.Seconds(float64(xi) * t.quantum)
-			for wi := int32(0); wi < t.wBins; wi++ {
-				omega := units.Mbps(float64(wi) * t.quantum)
-				maxRung := n - 1
-				if p.cfg.CapToThroughput {
-					maxRung = p.ladder.CapIndex(omega)
-					if prev > maxRung {
-						maxRung = prev
-					}
-				}
-				omegas := [1]units.Mbps{omega}
-				t.rungs[idx] = int8(solveFirstRung(&p.model, &st, p.cfg.UseBruteForce, omegas[:], x0, prev, int(t.k), maxRung))
-				idx++
-			}
+	t.cells = make([]atomic.Uint32, (int(t.planes)*int(t.xBins)*int(t.wBins)+3)/4)
+	for row := int32(0); row < t.planes*t.xBins; row++ {
+		for wi := int32(0); wi < t.boxBins; wi++ {
+			t.fill(p, &st, row*t.wBins+wi)
 		}
 	}
 	return st.Solves
 }
 
-// lookup returns the compiled decision for an already-quantized state, or a
-// fallback. x and w are the values Decide quantized at this table's quantum,
-// so dividing by the quantum recovers the bin index exactly (the value is a
-// bin index times the quantum; the round shakes out the float error, which
-// is orders of magnitude below half a bin). Out-of-domain, non-finite and
-// session-tail states report a miss — never a clamped cell. The throughput
-// cap needs no check: the cell was compiled with the cap derived from the
-// cell's own (omega, prev), the same pure function Decide applies.
+// fill solves one cell, publishes it and returns its decision: the decision
+// the solver commits at the cell's exact quantized state, mirroring Decide's
+// solver path bit for bit — the policy's cost model, the same quantized
+// values (bin index times quantum, the identical expression quantize
+// produces), the same §5.1 throughput cap and the same receding-horizon
+// infeasibility fallback (solveFirstRung). Solver work counts into st. The
+// cell's byte is ORed into its word, so fills of neighbouring cells never
+// lose each other, and a racing fill of the same cell stores the same byte.
 //
 //soda:noalloc
-func (t *decisionTable) lookup(x units.Seconds, w units.Mbps, prev, k int) (int, bool) {
+func (t *decisionTable) fill(p *Policy, st *SolveStats, cell int32) int {
+	row, wi := cell/t.wBins, cell%t.wBins
+	prev, xi := int(row/t.xBins)-1, row%t.xBins
+	x0 := units.Seconds(float64(xi) * t.quantum)
+	omega := units.Mbps(float64(wi) * t.quantum)
+	maxRung := p.ladder.Len() - 1
+	if p.cfg.CapToThroughput {
+		maxRung = max(p.ladder.CapIndex(omega), prev)
+	}
+	omegas := [1]units.Mbps{omega}
+	rung := solveFirstRung(&p.model, st, p.cfg.UseBruteForce, omegas[:], x0, prev, int(t.k), maxRung)
+	word, b := &t.cells[cell/4], uint32(rung+1)<<(cell%4*8)
+	for old := word.Load(); !word.CompareAndSwap(old, old|b); old = word.Load() {
+	}
+	return rung
+}
+
+// lookup returns the decision in an already-quantized state's cell, or -1:
+// with the cell's index when the cell is still empty, with cell -1 when the
+// state lies outside the domain. x and w are the values Decide quantized at
+// this table's quantum, so dividing by the quantum recovers the bin index
+// exactly (the value is a bin index times the quantum; the round shakes out
+// the float error, which is orders of magnitude below half a bin).
+// Out-of-domain, non-finite and session-tail states report a miss — never a
+// clamped cell. The throughput cap needs no check: the cell was solved with
+// the cap derived from the cell's own (omega, prev), the same pure function
+// Decide applies.
+//
+//soda:noalloc
+func (t *decisionTable) lookup(x units.Seconds, w units.Mbps, prev, k int) (rung int, cell int32) {
 	if t.stub || int32(k) != t.k {
-		return 0, false
+		return -1, -1
 	}
 	plane := int32(prev) + 1
 	if plane < 0 || plane >= t.planes {
-		return 0, false
+		return -1, -1
 	}
 	xi := math.Round(float64(x) / t.quantum)
 	if !(xi >= 0 && xi <= float64(t.xBins-1)) { // NaN and ±Inf fail too
-		return 0, false
+		return -1, -1
 	}
 	wi := math.Round(float64(w) / t.quantum)
 	if !(wi >= 0 && wi <= float64(t.wBins-1)) {
-		return 0, false
+		return -1, -1
 	}
-	return int(t.rungs[(plane*t.xBins+int32(xi))*t.wBins+int32(wi)]), true
+	cell = (plane*t.xBins+int32(xi))*t.wBins + int32(wi)
+	return int(t.cells[cell/4].Load()>>(cell%4*8)&0xff) - 1, cell
+}
+
+// filled counts the cells holding a decision. It reads every word, so it
+// runs at snapshot time, never on a decision.
+func (t *decisionTable) filled() int {
+	n := 0
+	for i := range t.cells {
+		w := t.cells[i].Load()
+		w |= w >> 4
+		w |= w >> 2
+		w |= w >> 1
+		n += bits.OnesCount32(w & 0x01010101)
+	}
+	return n
 }
 
 // info snapshots the table's shape for CompileTable and reports.
@@ -281,7 +341,7 @@ func (t *decisionTable) info() TableInfo {
 		XBins:       int(t.xBins),
 		WBins:       int(t.wBins),
 		Planes:      int(t.planes),
-		Cells:       len(t.rungs),
+		Cells:       t.filled(),
 		Stub:        t.stub,
 	}
 }
@@ -295,10 +355,11 @@ type TableInfo struct {
 	// Horizon is the steady-state horizon the cells were solved at.
 	Horizon int
 	// XBins, WBins and Planes are the grid dimensions: buffer bins,
-	// throughput bins and previous-rung planes (ladder size plus the
-	// no-previous-rung plane).
+	// throughput bins up to the overflow edge, and previous-rung planes
+	// (ladder size plus the no-previous-rung plane).
 	XBins, WBins, Planes int
-	// Cells is the compiled cell count (0 for a stub).
+	// Cells counts the cells holding a decision at the snapshot: the
+	// compiled box plus the cells filled since (0 for a stub).
 	Cells int
 	// Stub reports a fallback-only table: oversized geometry or a binding
 	// past the set's table budget.
@@ -337,7 +398,8 @@ type TableStats struct {
 	// stubs the set does not hold, so they count in neither.
 	Tables int
 	Stubs  int
-	// Cells is the total compiled cell count across tables.
+	// Cells counts the cells holding a decision across tables: the compiled
+	// boxes plus the cells filled on first touch so far.
 	Cells int
 	// CompileSolves is the total planning problems solved compiling them.
 	CompileSolves uint64
@@ -350,9 +412,16 @@ func (s TableStats) String() string {
 }
 
 // Stats snapshots the set. It takes the set lock, so concurrent bindings
-// serialize with it; lookups are unaffected.
+// serialize with it, and counts the filled cells of every table, so it costs
+// one pass over the set's cell words; decisions are unaffected and keep no
+// shared counter for it.
 func (s *DecisionTables) Stats() TableStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Tables = len(s.tables)
+	for _, t := range s.tables {
+		st.Cells += t.filled()
+	}
+	return st
 }

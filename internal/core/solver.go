@@ -27,10 +27,12 @@ const pruneGuard = 1e-9
 type SolveStats struct {
 	// TableLookups / TableHits / TableFallbacks count this controller's
 	// traffic against the fleet-wide Config.DecisionTable (consulted before
-	// the memo). A fallback is a lookup outside the table's domain that fell
-	// through to the solve pipeline; lookups = hits + fallbacks. Populated by
-	// Controller.SolveStats only. They lead the struct so that a table hit
-	// touches only the first cache line of a Controller.
+	// the memo). A fallback is a lookup the table could not answer: a state
+	// outside the table's domain, which fell through to the solve pipeline,
+	// or an empty in-domain cell, which this controller solved and filled;
+	// lookups = hits + fallbacks. Populated by Controller.SolveStats only.
+	// They lead the struct so that a table hit touches only the first cache
+	// line of a Controller.
 	TableLookups   uint64
 	TableHits      uint64
 	TableFallbacks uint64

@@ -150,7 +150,10 @@ func (r *stageRing) snapshot(stage Stage, dst []Span) []Span {
 	for seq := start; seq < end; seq++ {
 		i := seq & r.mask
 		v := r.ver[i].Load()
-		if v&1 != 0 {
+		// Odd: a write in progress. Zero: the slot is claimed (the cursor
+		// already counts it) but its writer has not started, so it holds no
+		// span yet.
+		if v&1 != 0 || v == 0 {
 			continue
 		}
 		base := i * spanWords

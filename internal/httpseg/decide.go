@@ -247,7 +247,7 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	s.tableCount = reg.Gauge("soda_server_decision_tables",
 		"compiled decision tables resident in the server's table set", telemetry.None)
 	s.tableCells = reg.Gauge("soda_server_decision_table_cells",
-		"total compiled decision-table cells resident", telemetry.None)
+		"decision-table cells holding a decision, compiled or filled on first touch", telemetry.None)
 	s.evictions = reg.Counter("soda_server_evictions_total",
 		"sessions evicted after idling past the TTL", telemetry.None)
 	rejected := func(reason string) *telemetry.Counter {
